@@ -17,9 +17,9 @@ race:
 	$(GO) test -race ./...
 
 # The three headline benchmarks whose numbers are recorded in BENCH_*.json:
-# the engine core across worker counts (GroundTruthQuanta), the parallel
-# runner's barrier + routing path (ParallelBarrier), and the partitioned
-# fast path (FastPathRack). -benchmem because the arena engine's allocation
+# the engine core under both execution strategies (GroundTruthQuanta), the
+# parallel runner's barrier + routing path (ParallelBarrier), and the
+# partitioned walk (FastPathRack). -benchmem because the arena engine's allocation
 # counts are load-bearing (see the alloc gates in internal/cluster).
 bench:
 	$(GO) test -run='^$$' -bench='BenchmarkGroundTruthQuanta|BenchmarkParallelBarrier|BenchmarkFastPathRack' -benchtime=2s -benchmem ./internal/cluster/

@@ -60,9 +60,13 @@ func TestCLIFlagErrors(t *testing.T) {
 		{"unparsable quantum", []string{"-quantum", "fast"}, "quantum:"},
 		{"dyn missing fields", []string{"-dyn", "1us:1ms"}, "dyn wants min:max:inc:dec"},
 		{"dyn bad min", []string{"-dyn", "x:1ms:1.03:0.02"}, "dyn min:"},
+		{"dyn zero factors", []string{"-dyn", "1us:1ms:0:0"}, "Inc must exceed 1"},
+		{"dyn inverted bounds", []string{"-dyn", "1ms:1us:1.03:0.02"}, "Max 1µs < Min 1ms"},
 		{"unknown topo kind", []string{"-topo", "ring:4:1us:2us"}, "unknown topology kind"},
 		{"topo missing fields", []string{"-topo", "ring:4"}, "topo wants rack:"},
 		{"topo bad radix", []string{"-topo", "rack:x:1us:2us"}, "topo radix"},
+		{"topo negative edge latency", []string{"-topo", "rack:4:-1us:2us"}, "topo edge latency must be positive"},
+		{"topo zero wan latency", []string{"-topo", "mixedwan:4:500ns:0s"}, "topo wan latency must be positive"},
 		{"bad lookahead", []string{"-lookahead", "psychic"}, "lookahead wants matrix or scalar"},
 		{"faults unknown field", []string{"-faults", "chaos=1"}, `unknown field "chaos"`},
 		{"faults bad window", []string{"-faults", "down=5ms"}, "is not start-end"},
@@ -96,39 +100,29 @@ func TestCLIFlagErrors(t *testing.T) {
 	}
 }
 
-// -contention disables the fast path, so a run that also asks for
-// -intra-workers must say so explicitly instead of reporting 0 engaged
-// quanta with no explanation (and must stay quiet when the combination is
-// absent).
+// -contention disables the fast path, so a run with it must say so
+// explicitly instead of reporting 0 engaged quanta with no explanation (and
+// a run without it must stay quiet).
 func TestContentionFastPathDiagnostic(t *testing.T) {
 	bin := buildClustersim(t)
 	base := []string{"-workload", "pingpong", "-nodes", "2", "-quantum", "1us"}
 	const diag = "fast path    disabled: output tap"
 
-	args := append(append([]string{}, base...), "-intra-workers", "2", "-contention", "10e9:500ns")
-	out, err := exec.Command(bin, args...).CombinedOutput()
-	if err != nil {
-		t.Fatalf("contention run failed: %v\n%s", err, out)
-	}
-	if !strings.Contains(string(out), diag) {
-		t.Errorf("-intra-workers with -contention did not print the output-tap diagnostic:\n%s", out)
-	}
-
-	quiet := []struct {
+	for _, c := range []struct {
 		name  string
 		extra []string
+		want  bool
 	}{
-		{"no contention", []string{"-intra-workers", "2"}},
-		{"no intra-workers", []string{"-contention", "10e9:500ns"}},
-	}
-	for _, c := range quiet {
+		{"contention", []string{"-contention", "10e9:500ns"}, true},
+		{"no contention", nil, false},
+	} {
 		args := append(append([]string{}, base...), c.extra...)
 		out, err := exec.Command(bin, args...).CombinedOutput()
 		if err != nil {
 			t.Fatalf("%s run failed: %v\n%s", c.name, err, out)
 		}
-		if strings.Contains(string(out), diag) {
-			t.Errorf("%s run printed the output-tap diagnostic spuriously:\n%s", c.name, out)
+		if got := strings.Contains(string(out), diag); got != c.want {
+			t.Errorf("%s run: output-tap diagnostic printed = %v, want %v:\n%s", c.name, got, c.want, out)
 		}
 	}
 }

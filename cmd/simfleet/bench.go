@@ -36,20 +36,21 @@ type benchFile struct {
 // were recorded from (fastpath_bench_test.go, parallel_bench_test.go).
 // Returns total quanta simulated in one measurement unit.
 var headlineBenches = map[string]func() (int, error){
-	// BenchmarkGroundTruthQuanta/workers=0: 4 nodes, Phases(3, 150µs, 32KB),
-	// fixed Q=1µs, classic event-queue engine.
-	"ground_truth_classic_walk_workers0": func() (int, error) { return groundTruthOnce(0) },
-	// BenchmarkGroundTruthQuanta/workers=1: same geometry on the
-	// single-worker intra-quantum fast path.
-	"ground_truth_fast_path_workers1": func() (int, error) { return groundTruthOnce(1) },
+	// BenchmarkGroundTruthQuanta/reference (recorded as workers=0): 4
+	// nodes, Phases(3, 150µs, 32KB), fixed Q=1µs, every quantum walked
+	// through the event queue.
+	"ground_truth_classic_walk_workers0": func() (int, error) { return groundTruthOnce(cluster.RunReference) },
+	// BenchmarkGroundTruthQuanta/production (recorded as workers=1): same
+	// geometry on the production walk, every node walked inline.
+	"ground_truth_fast_path_workers1": func() (int, error) { return groundTruthOnce(cluster.Run) },
 	// BenchmarkParallelBarrier: 8-node real-goroutine runner,
 	// Phases(6, 200µs, 16KB), fixed Q=20µs.
 	"parallel_barrier": parallelBarrierOnce,
 }
 
-func groundTruthOnce(workers int) (int, error) {
+func groundTruthOnce(run func(cluster.Config) (*cluster.Result, error)) (int, error) {
 	w := workloads.Phases(3, 150*simtime.Microsecond, 32<<10)
-	res, err := cluster.Run(cluster.Config{
+	res, err := run(cluster.Config{
 		Nodes:    4,
 		Guest:    guest.DefaultConfig(),
 		Net:      netmodel.Paper(),
@@ -57,7 +58,6 @@ func groundTruthOnce(workers int) (int, error) {
 		Policy:   func() quantum.Policy { return quantum.Fixed{Q: simtime.Microsecond} },
 		Program:  w.New,
 		MaxGuest: simtime.Guest(100 * simtime.Second),
-		Workers:  workers,
 	})
 	if err != nil {
 		return 0, err

@@ -1,7 +1,8 @@
 // Command simfleet is the scenario regression fleet: it executes the
 // declarative manifest of simulation scenarios in testdata/fleet/, computes
 // a canonical fingerprint per scenario (Result/Stats/Quanta plus the prof
-// report bytes, proven identical across Workers {0,1,3}), and diffs the
+// report bytes, proven identical under the reference and the production
+// execution strategy), and diffs the
 // fingerprints against the committed goldens. One command answers "did this
 // PR change any simulated outcome it didn't mean to?" — the check the
 // equivalence matrices of earlier PRs hand-rolled per change.
@@ -92,7 +93,7 @@ func runFleet() error {
 			case o.Mismatch != "":
 				fmt.Fprintf(os.Stderr, "fail %-28s %s\n", o.Name, o.Mismatch)
 			default:
-				fmt.Fprintf(os.Stderr, "ran  %-28s %s workers=%v\n", o.Name, o.Fingerprint[:12], o.Workers)
+				fmt.Fprintf(os.Stderr, "ran  %-28s %s reference=production\n", o.Name, o.Fingerprint[:12])
 			}
 		}
 	}

@@ -158,8 +158,9 @@ func TestCLIErrors(t *testing.T) {
 }
 
 // The committed fleet manifest must keep covering the claim surface: all
-// three execution paths (classic is implicit — every scenario's worker
-// matrix includes 0), both lookahead modes, and at least one fault plan.
+// three execution shapes (the event-queue walk is implicit — every
+// scenario also runs under the reference strategy), both lookahead modes,
+// and at least one fault plan.
 func TestCommittedManifestCoverage(t *testing.T) {
 	m, err := experiments.LoadManifest(filepath.Join(moduleRoot(t), "testdata", "fleet", "manifest.json"))
 	if err != nil {
@@ -175,9 +176,6 @@ func TestCommittedManifestCoverage(t *testing.T) {
 		}
 		if sc.Faults != "" {
 			faulted++
-		}
-		if len(sc.Workers) > 0 {
-			t.Errorf("scenario %q overrides the worker matrix; committed scenarios must keep the {0,1,3} cross-check", sc.Name)
 		}
 	}
 	if scalar == 0 {

@@ -59,8 +59,9 @@ type Config struct {
 	// duplication, delay jitter, link-down windows, and per-node host
 	// slowdowns (see internal/faults). Every decision is a pure function of
 	// (Plan.Seed, Frame.ID, src, dst, send time), so faulty runs stay
-	// bit-identical across Workers counts and are replayable from this
-	// config. Nil injects nothing and costs one branch per frame.
+	// bit-identical under both execution strategies (Run, RunReference)
+	// and are replayable from this config. Nil injects nothing and costs
+	// one branch per frame.
 	Faults *faults.Plan
 	// Observer receives streaming lifecycle hooks (quantum boundaries,
 	// packet deliveries, node busy/idle segments) while the run executes.
@@ -71,40 +72,31 @@ type Config struct {
 	// fast-path eligibility causes, per-link lookahead slack — see
 	// internal/prof and DESIGN.md §10). Nil disables all attribution at
 	// zero cost, exactly like Observer. The resulting prof.Report is
-	// byte-identical across Workers values for a fixed configuration.
+	// byte-identical under Run and RunReference for a fixed configuration.
 	Profiler *prof.Profiler
-	// Workers enables the intra-quantum parallel fast path (DESIGN.md §7):
-	// whenever the current quantum Q is at most the minimum network latency,
-	// no frame sent inside the quantum can arrive inside it, so nodes are
-	// provably independent between barriers and are stepped concurrently on
-	// a worker pool of this size, with frames routed at the barrier in
-	// canonical (node, send-sequence) order.
+	// Workers must be zero.
 	//
-	// 0 (or negative) keeps the classic sequential event-queue engine.
-	// Any value >= 1 selects the fast path; 1 walks nodes inline (no
-	// goroutines) and >= 2 fans out. Result, Stats, and quantum records are
-	// bit-identical for every Workers value; the packet/observer *stream
-	// order* is identical across all Workers >= 1 values but differs from
-	// Workers == 0, whose streams interleave in host-event order (the
-	// per-record contents and all aggregates still match exactly).
+	// Deprecated: the intra-quantum worker pool it selected is gone; every
+	// run uses the one quantum executor (see Run and RunReference).
+	// Validate rejects a non-zero value.
 	Workers int
-	// Lookahead selects how the fast path's safety bound is computed. The
-	// default (LookaheadMatrix) probes the per-link lookahead matrix and
-	// partitions the cluster per quantum (DESIGN.md §11), so quanta above
-	// the global minimum latency can still fast-walk the loose part of the
-	// cluster; LookaheadScalar is the escape hatch restoring the original
-	// all-or-nothing Q <= MinLatency gate. The choice never changes
-	// simulation results — only which engine path runs a quantum and how
+	// Lookahead selects how the lookahead bound is computed. The default
+	// (LookaheadMatrix) probes the per-link lookahead matrix and partitions
+	// the cluster per quantum (DESIGN.md §11), so quanta above the global
+	// minimum latency can still walk the loose part of the cluster without
+	// the event queue; LookaheadScalar is the escape hatch restoring the
+	// original all-or-nothing Q <= MinLatency gate. The choice never
+	// changes simulation results — only how a quantum is executed and how
 	// engagement is accounted (the graded Stats fields and profiler causes
 	// are zero/boolean under LookaheadScalar).
 	Lookahead LookaheadMode
 	// onQuantumMode, when non-nil, is called at the start of each quantum
-	// with whether the parallel-safe fast path ran it. Package-internal
-	// test hook.
+	// with whether its execution partitioning walks any node without the
+	// event queue. Package-internal test hook.
 	onQuantumMode func(fast bool)
 }
 
-// LookaheadMode selects the fast-path safety-bound computation.
+// LookaheadMode selects the lookahead-bound computation.
 type LookaheadMode int
 
 const (
@@ -130,6 +122,8 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("cluster: guest CPUHz must be positive, got %v", c.Guest.CPUHz)
 	case c.LossRate < 0 || c.LossRate >= 1:
 		return fmt.Errorf("cluster: LossRate must be in [0,1), got %v", c.LossRate)
+	case c.Workers != 0:
+		return fmt.Errorf("cluster: Workers is deprecated and must be 0, got %d", c.Workers)
 	}
 	if err := c.Net.Validate(c.Nodes); err != nil {
 		return err
@@ -187,8 +181,8 @@ type Stats struct {
 	// eligible (Q at or below every link's lookahead) and FastPartialQuanta
 	// those where only part of it was: at least one lookahead partition
 	// loose, at least one tight (always zero under LookaheadScalar).
-	// Eligibility state, not execution state: the counts are identical for
-	// every Workers value including the classic engine.
+	// Eligibility state, not execution state: the counts are identical
+	// under Run and RunReference.
 	FastFullQuanta    int
 	FastPartialQuanta int
 	// FastNodeQuanta sums the fast-walkable node count over all quanta, so

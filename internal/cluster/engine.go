@@ -14,7 +14,6 @@ import (
 	"clustersim/internal/quantum"
 	"clustersim/internal/rng"
 	"clustersim/internal/simtime"
-	"clustersim/internal/workerpool"
 )
 
 // ErrGuestLimit is returned when a run exceeds Config.MaxGuest without all
@@ -65,11 +64,6 @@ const (
 // which is the substrate the roadmap's optimistic checkpoint/rollback engine
 // needs; see DESIGN.md §12.
 //
-// Concurrency: during fast-path walks, worker goroutines touch only their
-// own node's index in each lane; the engine's barrier provides the
-// happens-before edge between quanta, exactly as it did for the per-node
-// structs.
-//
 //simlint:snapshotroot one copy() per lane is the whole checkpoint contract
 type nodeArena struct {
 	node  []*guest.Node //simlint:snapshotsafe guest nodes are their own snapshot root; the arena lane only re-binds pointers on restore
@@ -119,7 +113,7 @@ func newNodeArena(n int) nodeArena {
 }
 
 // flight is one frame in flight through the controller: the interned record
-// an evFrame event (or a barrier batch entry) points at. Flights live in a
+// an evFrame event (or a deferred barrier entry) points at. Flights live in a
 // per-quantum slab — every frame sent in a quantum is also routed in it, so
 // the slab resets to length zero at each quantum start and reaches a steady
 // state with no allocation.
@@ -130,8 +124,8 @@ type flight struct {
 	tD       simtime.Guest // exact simulated arrival time
 }
 
-// routed is one barrier-batch entry: a flight and the controller-arrival
-// host time the classic engine would have dispatched it at.
+// routed is one deferred barrier entry: a flight and the controller-arrival
+// host time the event-queue walk would have dispatched it at.
 type routed struct {
 	h  simtime.Host
 	fi int32
@@ -162,23 +156,19 @@ type engine struct {
 	// up (guest time); used only when the net model has an OutputQueue.
 	portFree []simtime.Guest
 
-	// flights is the quantum's flight slab; batch, pend, delivCnt, delivOff
-	// and delivSorted are the batched barrier router's reusable buffers
+	// flights is the quantum's flight slab; pend, delivCnt, delivOff and
+	// delivSorted are the batched barrier router's reusable buffers
 	// (DESIGN.md §12).
 	flights     []flight
-	batch       []routed
 	pend        []pendDeliv
 	delivCnt    []int32
 	delivOff    []int32
 	delivSorted []guest.Arrival
-	// assembling: sendFrame ships frames into the barrier batch instead of
-	// routing or queueing them. batching: deliver records surviving copies
-	// in pend instead of pushing them to the guest one at a time.
-	assembling bool
-	batching   bool
+	// batching: deliver records surviving copies in pend instead of pushing
+	// them to the guest one at a time.
+	batching bool
 
 	limit     simtime.Guest // current quantum end
-	qStartH   simtime.Host  // barrier release that started the quantum
 	npQuantum int           // frames routed this quantum
 	strQuant  int           // stragglers this quantum
 	lastEvtH  simtime.Host  // latest frame event host time this quantum
@@ -193,97 +183,72 @@ type engine struct {
 	// fault-free path byte-identical to an engine without the feature.
 	slow []float64
 
-	// Intra-quantum fast path (DESIGN.md §7, §11). la is the per-link
-	// lookahead structure: the probed node-pair latency matrix and the
+	// Lookahead (DESIGN.md §7, §11). la is the per-link lookahead
+	// structure: the probed node-pair latency matrix and the
 	// lookahead-closed partitionings it induces per quantum size. It is
 	// built for every configuration that admits lookahead (matrix mode, no
-	// output tap, positive bounds) — the classic engine included — so
+	// output tap, positive bounds) — under RunReference too — so
 	// eligibility accounting, partition grades and the graded Stats fields
-	// never depend on the Workers gate. Nil in scalar mode or when the
+	// never depend on the execution strategy. Nil in scalar mode or when the
 	// topology rules lookahead out.
 	la *lookahead
 	// eligLat is the scalar eligibility lookahead (la.min in matrix mode,
 	// Net.MinLatency in scalar mode): any quantum Q <= eligLat is provably
 	// free of intra-quantum arrivals cluster-wide. Zero when the
-	// output-queue tap or the topology rules the fast path out entirely.
+	// output-queue tap or the topology rules lookahead out entirely.
 	eligLat simtime.Duration
 	qElig   bool // current quantum's full (cluster-wide) eligibility
 	nElig   int  // eligible quanta so far
-	pool    *workerpool.Pool
-	// walks is non-nil iff Workers >= 1 selected the fast-path engine; its
-	// per-node buffers serve both the fully-engaged walk and the graded
-	// (partitioned) quantum.
-	walks []nodeWalk
-	// walkFn is the per-node walk closure, built once so the per-quantum
-	// pool dispatch stays allocation-free (it reads e.qStartH, which run()
-	// sets to the quantum's barrier-release host time). looseFn is its
-	// graded-quantum sibling, indexing through the current partitioning's
-	// loose-node list.
-	walkFn  func(int)
-	looseFn func(int)
-	// curPartit is the current quantum's partitioning (nil when unknown);
-	// curPart aliases its node->partition map during a graded quantum's
-	// tight-partition walks — the signal for sendFrame to defer
-	// cross-partition frames to the barrier — and is nil at all other
-	// times.
-	curPartit *partitioning
-	curPart   []int32
+
+	// reference selects the reference strategy (RunReference): every
+	// quantum executes as tightAll, the pure event-queue walk.
+	reference bool
+	// tightAll and looseAll are the degenerate execution partitionings:
+	// every node in one tight partition (the event-queue walk), and every
+	// node loose (the eligible-quantum walk under LookaheadScalar, which
+	// has no lookahead partitionings of its own; nil otherwise).
+	tightAll, looseAll *partitioning
+	// exec is the executing quantum's partitioning: sendFrame reads it to
+	// defer frames from loose nodes and across tight partitions to the
+	// barrier.
+	exec *partitioning
+	// defs holds, per node, the quantum's flights deferred to the barrier
+	// with the controller-arrival host times the event-queue walk would
+	// have dispatched them at. routeBatch empties the lanes, so they are
+	// empty at every quantum start.
+	defs [][]routed
 	// partFin is the per-partition last-finish scratch for the profiler's
 	// partition-wait attribution, reused across quanta.
 	partFin []simtime.Host
 }
 
-// sendRec buffers one frame sent during a fast-path walk, with the host and
-// guest instants the classic engine would have seen at the send.
-type sendRec struct {
-	f     *pkt.Frame
-	tSend simtime.Guest
-	h     simtime.Host
-}
+// Run executes the configuration and returns its result. Every quantum runs
+// through one executor (runQuantum) on the quantum's execution
+// partitioning: loose nodes are walked without the event queue, tight
+// partitions through it (DESIGN.md §7, §11).
+func Run(cfg Config) (*Result, error) { return runEngine(cfg, false) }
 
-// phaseRec buffers one NodePhase observer hook emitted during a walk.
-type phaseRec struct {
-	phase  obs.Phase
-	g0, g1 simtime.Guest
-	h0, h1 simtime.Host
-}
+// RunReference executes the configuration with the reference strategy:
+// every quantum walks all nodes through the event queue, whatever the
+// lookahead allows. Its Result, Stats, quantum records and profiler report
+// are identical to Run's; only the order of the packet and observer
+// streams within a quantum that Run walks partly loose differs (host-event
+// order here, canonical (node, send-sequence) order under Run). It exists so tests,
+// the scenario fleet and the benchmark gate can compare two execution
+// strategies byte for byte.
+func RunReference(cfg Config) (*Result, error) { return runEngine(cfg, true) }
 
-// defEvent buffers one fully-computed cross-partition flight that a graded
-// quantum defers to the barrier, with the controller-arrival host time the
-// classic engine would have dispatched it at.
-type defEvent struct {
-	h  simtime.Host
-	fi int32
-}
-
-// nodeWalk collects everything a fast-path node walk must publish at the
-// barrier: sends to route, observer hooks to replay, and the node's
-// contributions to global counters. Node-local state (finishHost, doneHost,
-// phase, ...) is written straight to the node arena, which the walking
-// worker owns for the duration of the quantum. Buffers are reused across
-// quanta. During graded quanta the defs buffer additionally holds a tight
-// node's deferred cross-partition flights.
-type nodeWalk struct {
-	sends  []sendRec
-	phases []phaseRec
-	defs   []defEvent
-	busy   simtime.Duration
-	idle   simtime.Duration
-	done   bool
-	err    error
-}
-
-// Run executes the configuration and returns its result.
-func Run(cfg Config) (*Result, error) {
+func runEngine(cfg Config, reference bool) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	e := &engine{
-		cfg:    cfg,
-		hm:     host.NewModel(cfg.Host),
-		policy: cfg.Policy(),
-		obs:    cfg.Observer,
-		prof:   cfg.Profiler,
+		cfg:       cfg,
+		hm:        host.NewModel(cfg.Host),
+		policy:    cfg.Policy(),
+		obs:       cfg.Observer,
+		prof:      cfg.Profiler,
+		reference: reference,
 	}
 	e.hm.Reserve(cfg.Nodes)
 	defer e.shutdown()
@@ -291,6 +256,7 @@ func Run(cfg Config) (*Result, error) {
 	e.portFree = make([]simtime.Guest, cfg.Nodes)
 	e.delivCnt = make([]int32, cfg.Nodes)
 	e.delivOff = make([]int32, cfg.Nodes)
+	e.defs = make([][]routed, cfg.Nodes)
 	for i := 0; i < cfg.Nodes; i++ {
 		prog := cfg.Program(i, cfg.Nodes)
 		if prog == nil {
@@ -304,7 +270,7 @@ func Run(cfg Config) (*Result, error) {
 			e.slow[i] = fp.Slowdown(i)
 		}
 	}
-	e.initFast()
+	e.initLookahead()
 	e.res.PolicyName = e.policy.Name()
 	if err := e.run(); err != nil {
 		return nil, err
@@ -321,46 +287,53 @@ func (e *engine) shutdown() {
 			n.Shutdown()
 		}
 	}
-	if e.pool != nil {
-		e.pool.Close()
-	}
 }
 
-// initFast decides whether the configuration admits the intra-quantum
-// parallel fast path and, if so, precomputes its safety bounds and pool.
+// initLookahead probes the configuration's lookahead and builds the
+// degenerate execution partitionings.
 //
 // The bounds come from the per-link lookahead matrix — every pair probed
 // with the cheapest possible frame (netmodel.MinProbe), generalizing the
 // paper's scalar T — or, in scalar mode, from Net.MinLatency alone.
 // Configurations with switch output-port contention (Net.Output) are
 // excluded before the probe: the port-free state must be updated in the
-// exact order the controller observes frames, which only the sequential
-// event queue reproduces.
-func (e *engine) initFast() {
-	// The eligibility lookahead is probed for every configuration — the
-	// classic engine included — so per-quantum eligibility accounting never
-	// depends on the Workers gate.
+// exact order the controller observes frames, which only the event queue
+// reproduces.
+func (e *engine) initLookahead() {
+	n := e.cfg.Nodes
 	if e.cfg.Net.Output == nil {
 		if e.cfg.Lookahead == LookaheadScalar {
-			e.eligLat = e.cfg.Net.MinLatency(e.cfg.Nodes)
-		} else if e.la = newLookahead(e.cfg.Net, e.cfg.Nodes); e.la != nil {
+			e.eligLat = e.cfg.Net.MinLatency(n)
+		} else if e.la = newLookahead(e.cfg.Net, n); e.la != nil {
 			e.eligLat = e.la.min
 		}
 	}
-	if e.cfg.Workers < 1 || e.eligLat <= 0 {
-		return
-	}
-	e.walks = make([]nodeWalk, e.cfg.Nodes)
-	e.walkFn = func(i int) { e.walkNode(i, &e.walks[i], e.qStartH) }
-	e.looseFn = func(k int) {
-		i := int(e.curPartit.loose[k])
-		e.walkNode(i, &e.walks[i], e.qStartH)
-	}
-	if w := e.cfg.Workers; w >= 2 {
-		if w > e.cfg.Nodes {
-			w = e.cfg.Nodes
+	e.tightAll = newPartitioning(make([]int32, n), 1)
+	if e.la == nil && e.eligLat > 0 {
+		ids := make([]int32, n)
+		for i := range ids {
+			ids[i] = int32(i)
 		}
-		e.pool = workerpool.New(w)
+		e.looseAll = newPartitioning(ids, n)
+	}
+}
+
+// execution picks the quantum's execution partitioning from its lookahead
+// partitioning part (nil without a matrix). Eligible quanta (Q <= eligLat)
+// walk every node loose — the matrix partitioning is then all singletons;
+// quanta whose partitioning leaves loose nodes walk those loose and the
+// rest through the event queue; everything else, and every quantum of the
+// reference strategy, is one tight partition.
+func (e *engine) execution(part *partitioning) *partitioning {
+	switch {
+	case e.reference:
+		return e.tightAll
+	case part != nil && part.fastNodes > 0:
+		return part
+	case e.qElig:
+		return e.looseAll
+	default:
+		return e.tightAll
 	}
 }
 
@@ -394,12 +367,10 @@ func (e *engine) run() error {
 	nodes := e.cfg.Nodes
 	for qi := 0; ; qi++ {
 		e.limit = start.Add(Q)
-		e.qStartH = hostNow
 		e.npQuantum = 0
 		e.strQuant = 0
 		e.lastEvtH = hostNow
 		e.flights = e.flights[:0]
-		e.batch = e.batch[:0]
 		if e.obs != nil {
 			e.obs.QuantumStart(qi, start, Q, hostNow)
 		}
@@ -408,15 +379,14 @@ func (e *engine) run() error {
 			e.nElig++
 		}
 		// The quantum's lookahead partitioning (nil in scalar mode or
-		// without lookahead). Both the accounting below and the execution
-		// choice derive from it, but the accounting is pure (Q, lookahead)
-		// state shared verbatim by every engine path, so Stats stay
-		// bit-identical across Workers values.
+		// without lookahead). The accounting below uses it directly — pure
+		// (Q, lookahead) state, so Stats and the profiler report are the
+		// same under both execution strategies — and the execution
+		// partitioning derives from it.
 		var part *partitioning
 		if e.la != nil {
 			part = e.la.partitionFor(Q)
 		}
-		e.curPartit = part
 		switch {
 		case e.qElig:
 			e.res.Stats.FastFullQuanta++
@@ -430,47 +400,11 @@ func (e *engine) run() error {
 			e.prof.BeginQuantum(qi, Q, part.grade())
 		}
 
-		// With Q at or below the minimum network latency, nothing sent in
-		// this quantum can arrive inside it (the paper's ground-truth
-		// argument), so the nodes are independent until the barrier and the
-		// event queue is unnecessary: walk each node to the limit — in
-		// parallel when Workers >= 2 — and route all frames at the barrier.
-		// Above that bound, the per-link partitioning can still leave loose
-		// nodes that are independent of everyone: they are walked the same
-		// way while the tight partitions fall back to the event queue.
-		full := e.walks != nil && e.qElig
-		graded := e.walks != nil && !e.qElig && part != nil && part.fastNodes > 0
+		exec := e.execution(part)
 		if e.cfg.onQuantumMode != nil {
-			e.cfg.onQuantumMode(full || graded)
+			e.cfg.onQuantumMode(len(exec.loose) > 0)
 		}
-		switch {
-		case full:
-			e.runQuantumFast(hostNow)
-		case graded:
-			e.runQuantumGraded(hostNow, part)
-		default:
-			for i := 0; i < nodes; i++ {
-				n := e.na.node[i]
-				n.BeginQuantum(e.limit)
-				e.na.phase[i] = phRunning
-				e.na.hostNow[i] = hostNow
-				e.na.inSeg[i] = false
-				e.na.wakeEv[i] = eventq.Handle{}
-				e.na.finishHost[i] = hostNow
-				if n.Done() {
-					// A finished workload's simulator idles through the
-					// quantum (OS housekeeping only).
-					e.idleTo(i, e.limit, hostNow)
-					continue
-				}
-				e.q.PushPri(int64(hostNow), priStep, event{kind: evStep, node: int32(i)})
-			}
-
-			for e.q.Len() > 0 {
-				ev := e.q.Pop()
-				e.dispatch(simtime.Host(ev.Time), ev.Payload)
-			}
-		}
+		e.runQuantum(hostNow, exec)
 
 		// Barrier: wait for the slowest node and any late frames, pay the
 		// barrier cost plus the controller's per-packet occupancy.
@@ -569,7 +503,6 @@ func (e *engine) recordQuantum(qi int, start simtime.Guest, Q simtime.Duration, 
 	}
 }
 
-//simlint:hotpath classic-walk quantum loop: every event of every quantum dispatches here
 func (e *engine) dispatch(h simtime.Host, ev event) {
 	switch ev.kind {
 	case evStep:
@@ -700,16 +633,13 @@ func (e *engine) idleTo(i int, target simtime.Guest, h simtime.Host) {
 
 // sendFrame models the source NIC (transmit queueing + serialization),
 // computes the exact simulated arrival time, and ships the frame to the
-// controller in host time. In the classic engine the frame becomes an
-// interned flight plus a queued 12-byte event dispatched at its
-// controller-arrival host time. At the barrier (e.assembling) the flight
-// joins the quantum's batch instead — every destination is already there,
-// so dispatch order no longer matters and the queue round-trip is pure
-// overhead. During a graded quantum's tight-partition walks
-// (curPart != nil), frames crossing the current partition are deferred to
-// the barrier: their destination lies across a loose link, so the arrival
-// time is provably at or past the limit and routing them later is
-// behavior-neutral (DESIGN.md §11).
+// controller in host time: the frame becomes an interned flight plus, in
+// the event-queue walk, a queued 12-byte event dispatched at its
+// controller-arrival host time. Frames from a loose node, and frames
+// crossing tight partitions, are deferred to the barrier instead: their
+// destination lies across a loose link, so the arrival time is provably at
+// or past the limit and routing them later is behavior-neutral
+// (DESIGN.md §11).
 func (e *engine) sendFrame(i int, h simtime.Host, tSend simtime.Guest, f *pkt.Frame) {
 	src := i
 	depart := simtime.MaxGuest(tSend, e.na.txFree[i])
@@ -724,14 +654,11 @@ func (e *engine) sendFrame(i int, h simtime.Host, tSend simtime.Guest, f *pkt.Fr
 			f: f, src: int32(src), dst: int32(dst), tSend: tSend,
 			tD: e.arrivalTime(f, src, dst, depart),
 		})
-		switch {
-		case e.assembling:
-			e.batch = append(e.batch, routed{h: arrHost, fi: fi}) //simlint:hotalloc assembly batch grows to its watermark once; length-reset each quantum
-		case e.curPart != nil && e.curPart[dst] != e.curPart[src]:
-			e.walks[src].defs = append(e.walks[src].defs, defEvent{h: arrHost, fi: fi}) //simlint:hotalloc deferred-event lane grows to its watermark once; length-reset each quantum
-		default:
-			e.q.PushPri(int64(arrHost), priFrame, event{kind: evFrame, fi: fi})
+		if p := e.exec; p.fastNode[src] || p.part[dst] != p.part[src] {
+			e.defs[src] = append(e.defs[src], routed{h: arrHost, fi: fi}) //simlint:hotalloc deferred-flight lane grows to its watermark once; routeBatch length-resets it
+			return
 		}
+		e.q.PushPri(int64(arrHost), priFrame, event{kind: evFrame, fi: fi})
 	}
 	if f.Dst.IsBroadcast() {
 		for dst := 0; dst < e.cfg.Nodes; dst++ {
@@ -974,24 +901,27 @@ func (e *engine) deliver(h simtime.Host, fl flight, dupCopy bool) {
 	}
 }
 
-// routeBatch routes the quantum's assembled barrier batch: one pass through
-// the flights in canonical (node, send-sequence) order — counters, fault
+// routeBatch routes the quantum's deferred flights: one pass through the
+// per-node lanes in canonical (node, send-sequence) order — counters, fault
 // decisions, traces and observer hooks fire here in exactly the order the
 // one-at-a-time tail produced — then the surviving copies are delivered in
 // per-destination contiguous runs via a stable counting sort. Delivery
-// order within a destination is the batch order, and the guest receive
+// order within a destination is the route order, and the guest receive
 // queue orders by (arrival, Frame.ID, push sequence), so regrouping is
 // invisible to the workload (DESIGN.md §12).
 func (e *engine) routeBatch() {
-	if len(e.batch) == 0 {
-		return
-	}
 	e.pend = e.pend[:0]
 	e.batching = true
-	for _, b := range e.batch {
-		e.routeFlight(b.h, b.fi)
+	for i, lane := range e.defs {
+		for _, d := range lane {
+			e.routeFlight(d.h, d.fi)
+		}
+		e.defs[i] = lane[:0]
 	}
 	e.batching = false
+	if len(e.pend) == 0 {
+		return
+	}
 
 	cnt := e.delivCnt
 	for i := range cnt {
@@ -1025,89 +955,28 @@ func (e *engine) routeBatch() {
 	}
 }
 
-// runQuantumFast executes one provably-safe quantum (Q <= eligLat): every
-// node is walked to the barrier independently — concurrently when a pool
-// exists — then the buffered per-node effects are folded into the global
-// state in node order, and all frames are routed by the batched barrier
-// router in (node, send-sequence) order. That canonical order is what makes
-// the run bit-identical for every Workers >= 1 value: workers only decide
-// *who* walks a node, never the order anything is published.
+// runQuantum executes one quantum on the execution partitioning p
+// (DESIGN.md §7, §11). Tight partitions run the event-queue walk one
+// partition at a time — the shared queue then only ever holds the current
+// partition's events, and because restricting a deterministic total order
+// to a subset preserves relative order, each partition's walk is
+// bit-identical to its slice of the whole-cluster walk. Loose nodes, whose
+// every link has latency >= Q, are walked inline to the barrier in node
+// order. sendFrame defers every frame that leaves a loose node or crosses
+// partitions; at the barrier the deferred flights publish in canonical
+// (node, send-sequence) order through the batched router. Every arrival
+// time is then at or past the limit and every destination is at the
+// barrier, so each such delivery is exact.
 //
-//simlint:hotpath fast-path quantum loop
-func (e *engine) runQuantumFast(hostNow simtime.Host) {
-	if e.pool != nil {
-		e.pool.Run(len(e.walks), e.walkFn)
-	} else {
-		for i := range e.walks {
-			e.walkNode(i, &e.walks[i], hostNow)
-		}
-	}
-	for i := range e.walks {
-		e.foldWalk(i)
-	}
-	// Barrier routing. Every destination is phAtLimit and, by the safety
-	// bound, every arrival time tD is at or past the limit, so routeFlight
-	// classifies each delivery as exact — the same outcome the classic
-	// engine reaches for these frames, just without the event queue.
-	e.assembling = true
-	for i := range e.walks {
-		for _, s := range e.walks[i].sends {
-			e.sendFrame(i, s.h, s.tSend, s.f)
-		}
-	}
-	e.assembling = false
-	e.routeBatch()
-}
-
-// foldWalk folds node i's completed walk buffers into the global state —
-// stats, profiler charges, done accounting and observer replay. Single-
-// threaded; called in ascending node order so the published order is
-// canonical whatever worker walked the node.
-func (e *engine) foldWalk(i int) {
-	wk := &e.walks[i]
-	e.res.Stats.HostBusy += wk.busy
-	e.res.Stats.HostIdle += wk.idle
-	if e.prof != nil {
-		// Fold the walk's per-node charges at the barrier so the
-		// profiler sees the same per-node totals as the classic path
-		// without any cross-worker synchronization during the walk.
-		e.prof.Segment(i, prof.SegBusy, wk.busy)
-		e.prof.Segment(i, prof.SegIdle, wk.idle)
-	}
-	if wk.done {
-		if wk.err != nil && e.firstErr == nil {
-			e.firstErr = fmt.Errorf("cluster: rank %d: %w", i, wk.err) //simlint:hotalloc error path: fires at most once per node, at workload failure
-		}
-		e.doneCount++
-	}
-	if e.obs != nil {
-		for _, ph := range wk.phases {
-			e.obs.NodePhase(i, ph.phase, ph.g0, ph.g1, ph.h0, ph.h1)
-		}
-	}
-}
-
-// runQuantumGraded executes one partially-engaged quantum (DESIGN.md §11):
-// Q exceeds the global minimum latency, but the per-link partitioning
-// leaves loose nodes whose every link has latency >= Q. Tight partitions
-// run the classic event-queue walk one partition at a time — the shared
-// queue then only ever holds the current partition's events, and because
-// restricting a deterministic total order to a subset preserves relative
-// order, each partition's walk is bit-identical to its slice of the classic
-// engine's. Frames crossing partitions are deferred by sendFrame (their
-// arrival is provably at or past the limit, so mid-quantum routing is
-// behavior-neutral); loose nodes are fast-walked exactly as in
-// runQuantumFast — concurrently when a pool exists — and everything
-// publishes at the barrier in canonical node order through the batched
-// router.
+// The event-queue walk (tightAll) and the all-loose walk are the two
+// degenerate partitionings.
 //
-//simlint:hotpath graded-path quantum loop
-func (e *engine) runQuantumGraded(hostNow simtime.Host, p *partitioning) {
-	e.curPart = p.part
+//simlint:hotpath the quantum loop: every quantum of every run executes here
+func (e *engine) runQuantum(hostNow simtime.Host, p *partitioning) {
+	e.exec = p
 	for _, members := range p.tight {
 		for _, m := range members {
 			i := int(m)
-			e.walks[i].defs = e.walks[i].defs[:0]
 			n := e.na.node[i]
 			n.BeginQuantum(e.limit)
 			e.na.phase[i] = phRunning
@@ -1116,6 +985,8 @@ func (e *engine) runQuantumGraded(hostNow simtime.Host, p *partitioning) {
 			e.na.wakeEv[i] = eventq.Handle{}
 			e.na.finishHost[i] = hostNow
 			if n.Done() {
+				// A finished workload's simulator idles through the
+				// quantum (OS housekeeping only).
 				e.idleTo(i, e.limit, hostNow)
 				continue
 			}
@@ -1126,47 +997,20 @@ func (e *engine) runQuantumGraded(hostNow simtime.Host, p *partitioning) {
 			e.dispatch(simtime.Host(ev.Time), ev.Payload)
 		}
 	}
-	e.curPart = nil
-
-	// Loose nodes: the same independent walks as a fully-engaged quantum.
-	if e.pool != nil {
-		e.pool.Run(len(p.loose), e.looseFn)
-	} else {
-		for _, i := range p.loose {
-			e.walkNode(int(i), &e.walks[i], hostNow)
-		}
-	}
 	for _, i := range p.loose {
-		e.foldWalk(int(i))
+		e.walkNode(int(i), hostNow)
 	}
-
-	// Barrier publication in global node order: loose nodes assemble their
-	// buffered sends, tight nodes enqueue their deferred cross-partition
-	// flights at the controller-arrival host times the classic engine would
-	// have dispatched them at; one batched route pass then handles both.
-	// Every arrival time is at or past the limit and every destination is
-	// at the barrier, so each delivery is exact.
-	e.assembling = true
-	for i := range e.walks {
-		if p.fastNode[i] {
-			for _, s := range e.walks[i].sends {
-				e.sendFrame(i, s.h, s.tSend, s.f)
-			}
-		} else {
-			for _, d := range e.walks[i].defs {
-				e.batch = append(e.batch, routed{h: d.h, fi: d.fi}) //simlint:hotalloc assembly batch grows to its watermark once; length-reset each quantum
-			}
-		}
+	if len(p.tight) == 1 && len(p.loose) == 0 {
+		return // the whole cluster is one tight partition: nothing was deferred
 	}
-	e.assembling = false
 	e.routeBatch()
 }
 
 // profPartitionWaits charges each lookahead partition's barrier wait for
 // the quantum: the release point minus the partition's last member finish.
 // With an unknown partitioning the whole cluster is one partition. Derived
-// purely from simulated time, so the attribution is identical for every
-// Workers value and engine path.
+// purely from simulated time, so the attribution is identical under both
+// execution strategies.
 func (e *engine) profPartitionWaits(p *partitioning, maxH simtime.Host) {
 	if p == nil {
 		last := e.na.finishHost[0]
@@ -1192,21 +1036,13 @@ func (e *engine) profPartitionWaits(p *partitioning, maxH simtime.Host) {
 	}
 }
 
-// walkNode steps one node from the quantum start to the barrier without the
-// event queue, mirroring stepNode/idleTo/the wake dispatch of the classic
-// engine exactly. It touches only state the walking worker owns: the node,
-// its index in every arena lane, and its nodeWalk buffers (host.Model
-// lookups are pure, and each node's speed-memo entry is private to its
-// walker). Globally visible effects are buffered in wk for the single-
-// threaded barrier fold.
-//
-//simlint:hotpath per-node walk body, invoked through worker closures the call graph cannot follow
-func (e *engine) walkNode(i int, wk *nodeWalk, hostNow simtime.Host) {
-	wk.sends = wk.sends[:0]
-	wk.phases = wk.phases[:0]
-	wk.busy, wk.idle = 0, 0
-	wk.done, wk.err = false, nil
-
+// walkNode steps one loose node from the quantum start to the barrier
+// without the event queue, mirroring stepNode/idleTo/the wake dispatch of
+// the event-queue walk exactly. No delivery can land on a loose node before
+// the limit, so its idle segments are never truncated or re-aimed and every
+// segment's extent is final when it is created; its sends are deferred to
+// the barrier by sendFrame.
+func (e *engine) walkNode(i int, hostNow simtime.Host) {
 	n := e.na.node[i]
 	n.BeginQuantum(e.limit)
 	e.na.inSeg[i] = false
@@ -1219,18 +1055,21 @@ func (e *engine) walkNode(i int, wk *nodeWalk, hostNow simtime.Host) {
 		e.na.hostNow[i] = h
 	}
 	// idle mirrors idleTo plus the evWake dispatch: charge the idle cost,
-	// record the phase, advance the cursor, and wake the node at target.
-	// Fast-path idle segments are never truncated or re-aimed — no delivery
-	// can land before the limit — so the extent is final at creation.
+	// report the phase, advance the cursor, and wake the node at target.
 	idle := func(target simtime.Guest) { //simlint:hotalloc non-escaping closure: called and discarded inside walkNode, stays on the stack
 		from := n.Clock()
 		if target < from {
 			panic(fmt.Sprintf("cluster: node %d idling backwards %v -> %v", i, from, target))
 		}
 		cost := e.hostCost(i, from, target, host.Idle)
-		wk.idle += cost
+		e.res.Stats.HostIdle += cost
+		if e.prof != nil {
+			e.prof.Segment(i, prof.SegIdle, cost)
+		}
 		end := h.Add(cost)
-		wk.phases = append(wk.phases, phaseRec{obs.PhaseIdle, from, target, h, end}) //simlint:hotalloc per-worker phase log grows to its watermark once; length-reset each quantum
+		if e.obs != nil {
+			e.obs.NodePhase(i, obs.PhaseIdle, from, target, h, end)
+		}
 		h = end
 		e.na.doneIdling[i] = n.Done()
 		n.WakeAt(target)
@@ -1247,13 +1086,18 @@ func (e *engine) walkNode(i int, wk *nodeWalk, hostNow simtime.Host) {
 		switch st.Kind {
 		case guest.StepBusy:
 			cost := e.hostCost(i, st.From, st.To, host.Busy)
-			wk.busy += cost
+			e.res.Stats.HostBusy += cost
+			if e.prof != nil {
+				e.prof.Segment(i, prof.SegBusy, cost)
+			}
 			end := h.Add(cost)
-			wk.phases = append(wk.phases, phaseRec{obs.PhaseBusy, st.From, st.To, h, end}) //simlint:hotalloc per-worker send log grows to its watermark once; length-reset each quantum
+			if e.obs != nil {
+				e.obs.NodePhase(i, obs.PhaseBusy, st.From, st.To, h, end)
+			}
 			h = end
 
 		case guest.StepSend:
-			wk.sends = append(wk.sends, sendRec{f: st.Frame, tSend: st.To, h: h}) //simlint:hotalloc per-worker phase log grows to its watermark once; length-reset each quantum
+			e.sendFrame(i, h, st.To, st.Frame)
 
 		case guest.StepBlocked:
 			target := simtime.MinGuest(st.NextArrival, st.Deadline)
@@ -1272,11 +1116,15 @@ func (e *engine) walkNode(i int, wk *nodeWalk, hostNow simtime.Host) {
 			return
 
 		case guest.StepDone:
-			wk.done = true
-			wk.err = st.Err
+			if st.Err != nil && e.firstErr == nil {
+				e.firstErr = fmt.Errorf("cluster: rank %d: %w", i, st.Err) //simlint:hotalloc error path: fires at most once per node, at workload failure
+			}
+			e.doneCount++
 			e.na.doneHost[i] = h
-			g := n.Clock()
-			wk.phases = append(wk.phases, phaseRec{obs.PhaseDone, g, g, h, h}) //simlint:hotalloc per-worker phase log grows to its watermark once; length-reset each quantum
+			if e.obs != nil {
+				g := n.Clock()
+				e.obs.NodePhase(i, obs.PhaseDone, g, g, h, h)
+			}
 			// The simulator keeps idling to the barrier.
 			idle(e.limit)
 			finish()

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"fmt"
 	"testing"
 
 	"clustersim/internal/netmodel"
@@ -9,14 +8,9 @@ import (
 	"clustersim/internal/workloads"
 )
 
-// BenchmarkGroundTruthQuanta measures ground-truth (Q = 1µs) throughput in
-// quanta per second. Workers=0 is the classic event-queue engine; Workers=1
-// is the fast path walked inline (its single-core win: safe quanta skip the
-// event queue entirely); higher counts add true parallelism on multi-core
-// hosts.
-// BenchmarkFastPathRack measures the partitioned fast path at a quantum
-// between the latency levels, where the scalar gate falls back to the event
-// queue for every node but the matrix gate still fast-walks the loose ones.
+// BenchmarkFastPathRack measures the partitioned walk at a quantum between
+// the latency levels, where the scalar gate falls back to the event queue
+// for every node but the matrix gate still walks the loose ones inline.
 // Three geometries: "rack8" is a uniform two-rack fat-tree (both racks tight
 // at mid-Q — no loose nodes, so matrix == scalar by construction; the honest
 // negative control), "mixed8" is one tight rack plus four loose WAN
@@ -42,44 +36,41 @@ func BenchmarkFastPathRack(b *testing.B) {
 			name string
 			m    LookaheadMode
 		}{{"scalar", LookaheadScalar}, {"matrix", LookaheadMatrix}} {
-			for _, workers := range []int{1, 4} {
-				b.Run(fmt.Sprintf("%s/%s/workers=%d", sc.name, mode.name, workers), func(b *testing.B) {
-					var quanta int64
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						cfg := testConfig(sc.nodes, sc.w, fixed(2*simtime.Microsecond))
-						cfg.Net = sc.net(sc.nodes)
-						cfg.Workers = workers
-						cfg.Lookahead = mode.m
-						res, err := Run(cfg)
-						if err != nil {
-							b.Fatal(err)
-						}
-						quanta += int64(res.Stats.Quanta)
-					}
-					b.ReportMetric(float64(quanta)/b.Elapsed().Seconds(), "quanta/s")
+			b.Run(sc.name+"/"+mode.name, func(b *testing.B) {
+				benchQuanta(b, production, func() Config {
+					cfg := testConfig(sc.nodes, sc.w, fixed(2*simtime.Microsecond))
+					cfg.Net = sc.net(sc.nodes)
+					cfg.Lookahead = mode.m
+					return cfg
 				})
-			}
+			})
 		}
 	}
 }
 
+// BenchmarkGroundTruthQuanta measures ground-truth (Q = 1µs) throughput in
+// quanta per second under both execution strategies: "reference" walks
+// every quantum through the event queue, "production" walks every node
+// inline because every ground-truth quantum is provably safe.
 func BenchmarkGroundTruthQuanta(b *testing.B) {
 	w := workloads.Phases(3, 150*simtime.Microsecond, 32<<10)
-	for _, workers := range []int{0, 1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			var quanta int64
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				cfg := testConfig(4, w, fixed(simtime.Microsecond))
-				cfg.Workers = workers
-				res, err := Run(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				quanta += int64(res.Stats.Quanta)
-			}
-			b.ReportMetric(float64(quanta)/b.Elapsed().Seconds(), "quanta/s")
+	for _, st := range []strategy{reference, production} {
+		b.Run(st.name, func(b *testing.B) {
+			benchQuanta(b, st, func() Config { return testConfig(4, w, fixed(simtime.Microsecond)) })
 		})
 	}
+}
+
+// benchQuanta runs b.N fresh configurations under st and reports quanta/s.
+func benchQuanta(b *testing.B, st strategy, mk func() Config) {
+	var quanta int64
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		res, err := st.run(mk())
+		if err != nil {
+			b.Fatal(err)
+		}
+		quanta += int64(res.Stats.Quanta)
+	}
+	b.ReportMetric(float64(quanta)/b.Elapsed().Seconds(), "quanta/s")
 }

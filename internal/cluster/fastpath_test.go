@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"clustersim/internal/faults"
@@ -110,52 +111,82 @@ func mixedWANNet(nodes int) *netmodel.Model {
 	return m
 }
 
-func runFast(t *testing.T, c fastCase, workers int) (*Result, *recorder) {
+// strategy is one execution strategy under test.
+type strategy struct {
+	name string
+	run  func(Config) (*Result, error)
+}
+
+var (
+	reference  = strategy{"reference", RunReference}
+	production = strategy{"production", Run}
+)
+
+func runFast(t *testing.T, c fastCase, st strategy) (*Result, *recorder) {
 	t.Helper()
 	rec := &recorder{}
 	cfg := testConfig(c.nodes, c.w, c.pol)
 	if c.net != nil {
 		cfg.Net = c.net
 	}
-	cfg.Workers = workers
 	cfg.TraceQuanta = true
 	cfg.TracePackets = true
 	cfg.LossRate = c.loss
 	cfg.LossSeed = 42
 	cfg.Faults = c.faults
 	cfg.Observer = rec
-	res, err := Run(cfg)
+	res, err := st.run(cfg)
 	if err != nil {
-		t.Fatalf("%s workers=%d: %v", c.name, workers, err)
+		t.Errorf("%s %s: %v", c.name, st.name, err)
+		return nil, rec
 	}
 	return res, rec
 }
 
-// The parallel fast path must be invisible in every output: for any worker
-// count >= 1 the Result, trace slices, and the byte-for-byte observer
-// stream are identical — workers only decide who walks a node, never what
-// is published or in which order. Run with -race, this is also the data-race
-// proof for the concurrent node walks.
+// The production walk's output must not depend on what else the process
+// runs: a run executed alone and the same run executed concurrently with
+// copies of itself (the cross-run fan-out that experiments and the fleet
+// use) produce identical Results, fingerprints and byte-for-byte observer
+// streams — stream order included, because everything a quantum publishes
+// at the barrier is in canonical order. Run with -race, this is also the
+// proof that concurrent runs share no mutable state.
 func TestFastPathWorkerInvariance(t *testing.T) {
+	const concurrent = 3
 	for _, c := range fastCases() {
 		t.Run(c.name, func(t *testing.T) {
-			res1, rec1 := runFast(t, c, 1)
+			res1, rec1 := runFast(t, c, production)
+			if res1 == nil {
+				return
+			}
 			fp1 := Fingerprint(res1)
-			for _, workers := range []int{2, 4, 9} {
-				resN, recN := runFast(t, c, workers)
+			results := make([]*Result, concurrent)
+			recs := make([]*recorder, concurrent)
+			var wg sync.WaitGroup
+			for k := range results {
+				wg.Add(1)
+				go func(k int) {
+					defer wg.Done()
+					results[k], recs[k] = runFast(t, c, production)
+				}(k)
+			}
+			wg.Wait()
+			for k, resN := range results {
+				if resN == nil {
+					continue
+				}
 				if !reflect.DeepEqual(res1, resN) {
-					t.Errorf("Result differs between workers=1 and workers=%d:\n%+v\n%+v", workers, res1, resN)
+					t.Errorf("Result differs between the lone run and concurrent run %d:\n%+v\n%+v", k, res1, resN)
 				}
 				// The canonical fingerprint is the fleet's definition of
 				// "same outcome"; it must agree with DeepEqual here.
 				if fpN := Fingerprint(resN); fpN != fp1 {
-					t.Errorf("fingerprint differs between workers=1 and workers=%d: %s vs %s", workers, fp1, fpN)
+					t.Errorf("fingerprint differs between the lone run and concurrent run %d: %s vs %s", k, fp1, fpN)
 				}
-				if !reflect.DeepEqual(rec1.events, recN.events) {
-					t.Errorf("observer stream differs between workers=1 and workers=%d", workers)
+				if !reflect.DeepEqual(rec1.events, recs[k].events) {
+					t.Errorf("observer stream differs between the lone run and concurrent run %d", k)
 					for i := range rec1.events {
-						if i < len(recN.events) && rec1.events[i] != recN.events[i] {
-							t.Errorf("first divergence at event %d:\n  %s\n  %s", i, rec1.events[i], recN.events[i])
+						if i < len(recs[k].events) && rec1.events[i] != recs[k].events[i] {
+							t.Errorf("first divergence at event %d:\n  %s\n  %s", i, rec1.events[i], recs[k].events[i])
 							break
 						}
 					}
@@ -171,20 +202,24 @@ func sortPackets(ps []PacketRecord) []PacketRecord {
 	return SortPacketsCanonical(ps)
 }
 
-// Against the classic sequential DES (Workers == 0), the fast path must
-// reproduce every number: results, metrics, aggregate stats, and the
-// per-quantum records. The packet trace is compared as a multiset — the
-// classic engine interleaves deliveries in host-event order while the fast
-// path routes at the barrier in canonical (node, seq) order, but the
-// recorded deliveries themselves are identical.
+// Against the reference strategy (the event-queue walk of every quantum),
+// the production walk must reproduce every number: results, metrics,
+// aggregate stats, and the per-quantum records. The packet trace is
+// compared as a multiset — the reference interleaves deliveries in
+// host-event order while the production walk routes deferred frames at the
+// barrier in canonical (node, seq) order, but the recorded deliveries
+// themselves are identical.
 func TestFastPathMatchesClassicSemantics(t *testing.T) {
 	for _, c := range fastCases() {
 		t.Run(c.name, func(t *testing.T) {
-			seq, _ := runFast(t, c, 0)
-			par, _ := runFast(t, c, 2)
+			seq, _ := runFast(t, c, reference)
+			par, _ := runFast(t, c, production)
+			if seq == nil || par == nil {
+				return
+			}
 
 			if seq.GuestTime != par.GuestTime || seq.HostTime != par.HostTime {
-				t.Errorf("times differ: classic (%v,%v) fast (%v,%v)",
+				t.Errorf("times differ: reference (%v,%v) production (%v,%v)",
 					seq.GuestTime, seq.HostTime, par.GuestTime, par.HostTime)
 			}
 			if !reflect.DeepEqual(seq.NodeFinish, par.NodeFinish) {
@@ -194,7 +229,7 @@ func TestFastPathMatchesClassicSemantics(t *testing.T) {
 				t.Errorf("metrics differ:\n%v\n%v", seq.Metrics, par.Metrics)
 			}
 			if seq.Stats != par.Stats {
-				t.Errorf("stats differ:\nclassic %+v\nfast    %+v", seq.Stats, par.Stats)
+				t.Errorf("stats differ:\nreference  %+v\nproduction %+v", seq.Stats, par.Stats)
 			}
 			if !reflect.DeepEqual(seq.Quanta, par.Quanta) {
 				t.Error("quantum records differ")
@@ -209,24 +244,23 @@ func TestFastPathMatchesClassicSemantics(t *testing.T) {
 				t.Errorf("packet traces differ as multisets (%d vs %d records)",
 					len(seq.Packets), len(par.Packets))
 			}
-			// Classic vs fast must collapse to one canonical fingerprint —
+			// Both strategies must collapse to one canonical fingerprint —
 			// the invariant the scenario fleet's goldens rely on.
 			if fs, fp := Fingerprint(seq), Fingerprint(par); fs != fp {
-				t.Errorf("fingerprint differs between classic and fast path: %s vs %s", fs, fp)
+				t.Errorf("fingerprint differs between reference and production: %s vs %s", fs, fp)
 			}
 		})
 	}
 }
 
-// The fast path must actually engage when it should and stand down when it
-// must: every ground-truth quantum (Q = 1µs <= T) is safe, a quantum beyond
-// the minimum latency never is, and an adaptive policy crosses the boundary
-// both ways mid-run.
+// The production walk must actually skip the event queue when it may and
+// stand down when it must: every ground-truth quantum (Q = 1µs <= T) is
+// safe, a quantum beyond the minimum latency never is, and an adaptive
+// policy crosses the boundary both ways mid-run.
 func TestFastPathEngages(t *testing.T) {
-	count := func(pol func() quantum.Policy, workers int) (fast, slow int) {
+	count := func(pol func() quantum.Policy, st strategy) (fast, slow int) {
 		w := workloads.Phases(3, 150*simtime.Microsecond, 16<<10)
 		cfg := testConfig(4, w, pol)
-		cfg.Workers = workers
 		cfg.onQuantumMode = func(isFast bool) {
 			if isFast {
 				fast++
@@ -234,44 +268,47 @@ func TestFastPathEngages(t *testing.T) {
 				slow++
 			}
 		}
-		if _, err := Run(cfg); err != nil {
+		if _, err := st.run(cfg); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
 
-	if fast, slow := count(fixed(simtime.Microsecond), 2); fast == 0 || slow != 0 {
+	if fast, slow := count(fixed(simtime.Microsecond), production); fast == 0 || slow != 0 {
 		t.Errorf("ground truth: want all quanta fast, got fast=%d slow=%d", fast, slow)
 	}
-	if fast, slow := count(fixed(simtime.Millisecond), 2); fast != 0 || slow == 0 {
+	if fast, slow := count(fixed(simtime.Millisecond), production); fast != 0 || slow == 0 {
 		t.Errorf("Q=1ms: want all quanta slow, got fast=%d slow=%d", fast, slow)
 	}
-	if fast, slow := count(adaptive(simtime.Microsecond, simtime.Millisecond, 1.03, 0.02), 2); fast == 0 || slow == 0 {
+	if fast, slow := count(adaptive(simtime.Microsecond, simtime.Millisecond, 1.03, 0.02), production); fast == 0 || slow == 0 {
 		t.Errorf("adaptive: want a mix of fast and slow quanta, got fast=%d slow=%d", fast, slow)
 	}
-	// Workers == 0 keeps the classic engine even at ground truth.
-	if fast, slow := count(fixed(simtime.Microsecond), 0); fast != 0 || slow == 0 {
-		t.Errorf("workers=0: want no fast quanta, got fast=%d slow=%d", fast, slow)
+	// The reference strategy walks the event queue even at ground truth.
+	if fast, slow := count(fixed(simtime.Microsecond), reference); fast != 0 || slow == 0 {
+		t.Errorf("reference: want no fast quanta, got fast=%d slow=%d", fast, slow)
 	}
 }
 
-// The partitioned fast path must actually engage partially on the mixed
+// The partitioned walk must actually engage partially on the mixed
 // topology — otherwise the bit-identity cases above are vacuously passing on
-// the classic path — and the graded Stats accounting must be identical for
-// every worker count, including the classic engine.
+// the event-queue walk — and the graded Stats accounting must be identical
+// under both strategies.
 func TestPartitionedPathEngagesPartially(t *testing.T) {
-	run := func(workers int, mode LookaheadMode) *Result {
+	run := func(st strategy) (res *Result, looseQuanta int) {
 		cfg := testConfig(8, workloads.Uniform(120, 2000, 30*simtime.Microsecond, 17), fixed(2*simtime.Microsecond))
 		cfg.Net = mixedWANNet(8)
-		cfg.Workers = workers
-		cfg.Lookahead = mode
-		res, err := Run(cfg)
+		cfg.onQuantumMode = func(loose bool) {
+			if loose {
+				looseQuanta++
+			}
+		}
+		res, err := st.run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		return res, looseQuanta
 	}
-	base := run(0, LookaheadMatrix)
+	base, refLoose := run(reference)
 	s := base.Stats
 	if s.FastPartialQuanta == 0 || s.FastFullQuanta != 0 {
 		t.Fatalf("Q=2µs mixed topology: want only partial engagement, got %+v", s)
@@ -283,22 +320,23 @@ func TestPartitionedPathEngagesPartially(t *testing.T) {
 	if want := 5 * s.FastPartialQuanta; s.PartialPartitions != want {
 		t.Errorf("PartialPartitions = %d, want %d", s.PartialPartitions, want)
 	}
-	for _, workers := range []int{1, 3} {
-		if got := run(workers, LookaheadMatrix); !reflect.DeepEqual(base, got) {
-			t.Errorf("workers=%d: result differs from classic engine", workers)
-		}
+	got, prodLoose := run(production)
+	if refLoose != 0 || prodLoose != s.Quanta {
+		t.Errorf("quanta walking loose nodes: reference %d (want 0), production %d (want %d)", refLoose, prodLoose, s.Quanta)
+	}
+	if !reflect.DeepEqual(base, got) {
+		t.Error("production result differs from the reference strategy")
 	}
 }
 
 // LookaheadScalar must reproduce the matrix mode's simulation outputs
-// exactly — the mode only moves engine paths and the graded accounting (all
-// zero under scalar).
+// exactly — the mode only moves which nodes skip the event queue and the
+// graded accounting (all zero under scalar).
 func TestScalarLookaheadBitIdentity(t *testing.T) {
-	run := func(workers int, mode LookaheadMode) *Result {
+	run := func(mode LookaheadMode) *Result {
 		cfg := testConfig(8, workloads.Uniform(120, 2000, 30*simtime.Microsecond, 17),
 			adaptive(simtime.Microsecond, 200*simtime.Microsecond, 1.1, 0.02))
 		cfg.Net = mixedWANNet(8)
-		cfg.Workers = workers
 		cfg.Lookahead = mode
 		cfg.TraceQuanta = true
 		res, err := Run(cfg)
@@ -307,8 +345,8 @@ func TestScalarLookaheadBitIdentity(t *testing.T) {
 		}
 		return res
 	}
-	matrix := run(2, LookaheadMatrix)
-	scalar := run(2, LookaheadScalar)
+	matrix := run(LookaheadMatrix)
+	scalar := run(LookaheadScalar)
 	if scalar.Stats.FastPartialQuanta != 0 || scalar.Stats.PartialPartitions != 0 {
 		t.Errorf("scalar mode reported graded engagement: %+v", scalar.Stats)
 	}

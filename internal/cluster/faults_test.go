@@ -153,31 +153,30 @@ func TestFaultSeedReplay(t *testing.T) {
 // behaviour is unchanged) scales host costs exactly: factor 2 on every node
 // doubles HostBusy and HostIdle.
 func TestSlowdownScalesHostCosts(t *testing.T) {
-	for _, workers := range []int{0, 2} {
+	for _, st := range []strategy{reference, production} {
 		cfg := testConfig(2, workloads.PingPong(20, 1000), fixed(simtime.Microsecond))
-		cfg.Workers = workers
-		base, err := Run(cfg)
+		base, err := st.run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		cfg.Faults = &faults.Plan{NodeSlowdown: map[int]float64{0: 2, 1: 2}}
-		slow, err := Run(cfg)
+		slow, err := st.run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if slow.GuestTime != base.GuestTime {
-			t.Errorf("workers=%d: slowdown changed guest time: %v vs %v", workers, slow.GuestTime, base.GuestTime)
+			t.Errorf("%s: slowdown changed guest time: %v vs %v", st.name, slow.GuestTime, base.GuestTime)
 		}
 		if slow.Stats.HostBusy != 2*base.Stats.HostBusy {
-			t.Errorf("workers=%d: HostBusy = %v, want double %v", workers, slow.Stats.HostBusy, base.Stats.HostBusy)
+			t.Errorf("%s: HostBusy = %v, want double %v", st.name, slow.Stats.HostBusy, base.Stats.HostBusy)
 		}
 		if slow.Stats.HostIdle != 2*base.Stats.HostIdle {
-			t.Errorf("workers=%d: HostIdle = %v, want double %v", workers, slow.Stats.HostIdle, base.Stats.HostIdle)
+			t.Errorf("%s: HostIdle = %v, want double %v", st.name, slow.Stats.HostIdle, base.Stats.HostIdle)
 		}
 	}
 }
 
-// The fast path's full-engagement bound must be exactly netmodel.MinLatency
+// The full-engagement lookahead bound must be exactly netmodel.MinLatency
 // in both lookahead modes — scalar probes it directly, matrix derives it as
 // the matrix minimum. Output-queue models are excluded from the fast path
 // before the probe, so the exclusion is structural, not a bound disagreement.
@@ -193,10 +192,9 @@ func TestFastPathBoundMatchesMinLatency(t *testing.T) {
 		for _, mode := range []LookaheadMode{LookaheadMatrix, LookaheadScalar} {
 			cfg := testConfig(4, workloads.Silent(10*simtime.Microsecond), fixed(simtime.Microsecond))
 			cfg.Net = m
-			cfg.Workers = 1
 			cfg.Lookahead = mode
 			e := &engine{cfg: cfg}
-			e.initFast()
+			e.initLookahead()
 			if want := m.MinLatency(cfg.Nodes); e.eligLat != want {
 				t.Errorf("%s/mode=%d: fast-path bound %v != MinLatency %v", name, mode, e.eligLat, want)
 			}
@@ -206,14 +204,13 @@ func TestFastPathBoundMatchesMinLatency(t *testing.T) {
 		}
 	}
 
-	// With an OutputQueue the fast path stands down entirely.
+	// With an OutputQueue every quantum is one tight partition.
 	out := netmodel.Paper()
 	out.Output = &netmodel.OutputQueue{}
 	cfg := testConfig(4, workloads.Silent(10*simtime.Microsecond), fixed(simtime.Microsecond))
 	cfg.Net = out
-	cfg.Workers = 1
 	e := &engine{cfg: cfg}
-	e.initFast()
+	e.initLookahead()
 	if e.eligLat != 0 || e.la != nil {
 		t.Errorf("OutputQueue model engaged the fast path with bound %v (la=%v)", e.eligLat, e.la != nil)
 	}

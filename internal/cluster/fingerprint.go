@@ -21,11 +21,12 @@ import (
 //
 //   - Metrics maps are encoded with sorted keys (map order is not part of a
 //     run's outcome).
-//   - The packet trace is encoded as a sorted multiset: the classic engine
-//     interleaves deliveries in host-event order while the fast path routes
-//     at the barrier in canonical (node, seq) order, but the recorded
-//     deliveries themselves are proven identical (see fastpath_test.go), so
-//     the fingerprint must not depend on stream order.
+//   - The packet trace is encoded as a sorted multiset: the reference
+//     strategy interleaves deliveries in host-event order while Run routes
+//     loose nodes' frames at the barrier in canonical (node, seq) order,
+//     but the recorded deliveries themselves are proven identical (see
+//     fastpath_test.go), so the fingerprint must not depend on stream
+//     order.
 //   - Everything else — times, stats, per-quantum records, policy name — is
 //     encoded field by field in declaration order. Integer-only: simtime
 //     values print as int64 nanoseconds, float metrics with strconv's
@@ -75,10 +76,10 @@ func SortPacketsCanonical(ps []PacketRecord) []PacketRecord {
 }
 
 // CanonicalResult encodes res into its canonical byte form. The encoding is
-// identical for every engine path and worker count that produces the same
-// simulated outcome: Workers {0, 1, N} runs of one configuration yield the
-// same bytes, and any divergence in Result, Stats, quantum records, or the
-// packet multiset changes them.
+// identical for every execution strategy that produces the same simulated
+// outcome: Run and RunReference of one configuration yield the same bytes,
+// and any divergence in Result, Stats, quantum records, or the packet
+// multiset changes them.
 func CanonicalResult(res *Result) []byte {
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "%s\n", FingerprintSchema)

@@ -19,9 +19,8 @@ import (
 // synchronize through the event queue; nodes in different components of the
 // tight-link graph are provably non-interacting before the barrier, because
 // every frame between them arrives at or after the quantum limit. Components
-// of that graph are the quantum's partitions: singletons run the
-// intra-quantum fast path, multi-node (tight) partitions fall back to the
-// event-queue walk.
+// of that graph are the quantum's partitions: singletons are walked without
+// the event queue, multi-node (tight) partitions through it.
 //
 // The partition structure only changes when Q crosses one of the matrix's
 // distinct latency values, so partitionings are cached per level and shared
@@ -47,7 +46,7 @@ type partitioning struct {
 	part   []int32
 	nparts int
 	// fastNode marks the loose singletons — nodes with no tight link in
-	// either direction, walkable on the fast path.
+	// either direction, walkable without the event queue.
 	fastNode  []bool
 	fastNodes int
 	// loose lists the fast-walkable nodes, ascending.
@@ -121,9 +120,9 @@ func (la *lookahead) partitionFor(q simtime.Duration) *partitioning {
 // latency levels.
 func (la *lookahead) build(idx int) *partitioning {
 	n := la.n
-	p := &partitioning{part: make([]int32, n), fastNode: make([]bool, n)}
+	var maxTightLat simtime.Duration
 	if idx > 0 {
-		p.maxTightLat = la.levels[idx-1]
+		maxTightLat = la.levels[idx-1]
 	}
 
 	// Union-find over the undirected tight-link graph.
@@ -141,7 +140,7 @@ func (la *lookahead) build(idx int) *partitioning {
 	}
 	for s := 0; s < n; s++ {
 		for d := s + 1; d < n; d++ {
-			if la.lat[s*n+d] > p.maxTightLat && la.lat[d*n+s] > p.maxTightLat {
+			if la.lat[s*n+d] > maxTightLat && la.lat[d*n+s] > maxTightLat {
 				continue
 			}
 			rs, rd := find(int32(s)), find(int32(d))
@@ -156,36 +155,25 @@ func (la *lookahead) build(idx int) *partitioning {
 		}
 	}
 
-	// Dense canonical partition ids by smallest member, plus member lists.
-	id := make(map[int32]int32, n)
-	members := make([][]int32, 0, n)
+	// Dense canonical partition ids by smallest member: a component's root
+	// is its smallest member, so it is numbered before any other member.
+	part := make([]int32, n)
+	nparts := 0
 	for i := 0; i < n; i++ {
-		r := find(int32(i))
-		pid, ok := id[r]
-		if !ok {
-			pid = int32(len(members))
-			id[r] = pid
-			members = append(members, nil)
-		}
-		p.part[i] = pid
-		members[pid] = append(members[pid], int32(i))
-	}
-	p.nparts = len(members)
-	for _, m := range members {
-		if len(m) == 1 {
-			i := m[0]
-			p.fastNode[i] = true
-			p.fastNodes++
-			p.loose = append(p.loose, i)
+		if r := find(int32(i)); r == int32(i) {
+			part[i] = int32(nparts)
+			nparts++
 		} else {
-			p.tight = append(p.tight, m)
+			part[i] = part[r]
 		}
 	}
+	p := newPartitioning(part, nparts)
+	p.maxTightLat = maxTightLat
 
 	// Rank the directed tight links, ascending by latency then (src, dst).
 	for s := 0; s < n; s++ {
 		for d := 0; d < n; d++ {
-			if s == d || la.lat[s*n+d] > p.maxTightLat {
+			if s == d || la.lat[s*n+d] > maxTightLat {
 				continue
 			}
 			p.tightLinkCount++
@@ -206,6 +194,30 @@ func (la *lookahead) build(idx int) *partitioning {
 	})
 	if len(p.tightLinks) > tightLinksK {
 		p.tightLinks = p.tightLinks[:tightLinksK]
+	}
+	return p
+}
+
+// newPartitioning groups the nodes of a dense canonical node->partition
+// map (ids numbered by smallest member) into loose singletons and tight
+// member lists. It also builds the engine's degenerate execution
+// partitionings: all zeros is one tight partition, the identity map is all
+// nodes loose.
+func newPartitioning(part []int32, nparts int) *partitioning {
+	p := &partitioning{part: part, nparts: nparts, fastNode: make([]bool, len(part))}
+	members := make([][]int32, nparts)
+	for i, pid := range part {
+		members[pid] = append(members[pid], int32(i))
+	}
+	for _, m := range members {
+		if len(m) == 1 {
+			i := m[0]
+			p.fastNode[i] = true
+			p.fastNodes++
+			p.loose = append(p.loose, i)
+		} else {
+			p.tight = append(p.tight, m)
+		}
 	}
 	return p
 }

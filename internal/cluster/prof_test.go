@@ -3,7 +3,6 @@ package cluster
 import (
 	"bytes"
 	"flag"
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -44,17 +43,26 @@ func profCases() []fastCase {
 // the report trustworthy: nothing the profiler prints is a re-derivation,
 // it is the same charge stream the engine used.
 func TestProfilerReconciliation(t *testing.T) {
+	// The subtest labels keep the Workers settings these strategies
+	// replaced (0 was the event-queue walk, 2 the partitioned walk), so
+	// the test IDs stay stable.
+	strategies := []struct {
+		label string
+		strategy
+	}{{"workers=0", reference}, {"workers=2", production}}
 	for _, c := range profCases() {
-		for _, workers := range []int{0, 2} {
-			t.Run(fmt.Sprintf("%s/workers=%d", c.name, workers), func(t *testing.T) {
+		for _, st := range strategies {
+			t.Run(c.name+"/"+st.label, func(t *testing.T) {
 				p := prof.New()
 				cfg := testConfig(c.nodes, c.w, c.pol)
-				cfg.Workers = workers
+				if c.net != nil {
+					cfg.Net = c.net
+				}
 				cfg.LossRate = c.loss
 				cfg.LossSeed = 42
 				cfg.Faults = c.faults
 				cfg.Profiler = p
-				res, err := Run(cfg)
+				res, err := st.run(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -105,27 +113,25 @@ func TestProfilerReconciliation(t *testing.T) {
 	}
 }
 
-// TestProfilerReportWorkerInvariant: the canonical JSON must be
-// byte-identical for any worker count, fast path or classic engine. The
-// eligibility semantics (Q <= lookahead, tap) deliberately exclude the
-// Workers gate so this holds.
-func TestProfilerReportWorkerInvariant(t *testing.T) {
-	run := func(workers int) []byte {
+// TestProfilerReportStrategyInvariant: the canonical JSON must be
+// byte-identical under both execution strategies. The eligibility and
+// partition accounting derive from the lookahead partitioning, never the
+// execution partitioning, so this holds.
+func TestProfilerReportStrategyInvariant(t *testing.T) {
+	report := func(st strategy, net *netmodel.Model) []byte {
 		p := prof.New()
 		cfg := testConfig(8, workloads.Uniform(120, 2000, 30*simtime.Microsecond, 11),
 			adaptive(simtime.Microsecond, 100*simtime.Microsecond, 1.05, 0.02))
-		cfg.Net = rackNet()
-		cfg.Workers = workers
+		cfg.Net = net
 		cfg.Profiler = p
-		if _, err := Run(cfg); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+		if _, err := st.run(cfg); err != nil {
+			t.Fatalf("%s: %v", st.name, err)
 		}
 		return p.Report().JSON()
 	}
-	base := run(0)
-	for _, workers := range []int{1, 3} {
-		if got := run(workers); !bytes.Equal(base, got) {
-			t.Errorf("report bytes differ between workers=0 and workers=%d", workers)
+	for name, net := range map[string]*netmodel.Model{"rack": rackNet(), "mixedwan": mixedWANNet(8)} {
+		if ref, prod := report(reference, net), report(production, net); !bytes.Equal(ref, prod) {
+			t.Errorf("%s: report bytes differ between the reference and production strategies", name)
 		}
 	}
 }

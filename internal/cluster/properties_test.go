@@ -375,10 +375,11 @@ func (p *packetOrderProbe) Packet(rec obs.PacketRecord) {
 // random fat-tree geometries, workloads, quanta and fault plans (loss,
 // duplication, delay jitter), the barrier-time batched router must
 //
-//  1. leave the Result bit-identical to the classic one-frame-at-a-time
-//     engine (Workers == 0),
-//  2. produce an observer stream invariant to the worker count — routing
-//     order is the canonical one, never a worker-schedule artifact, and
+//  1. leave the Result bit-identical to the reference strategy's
+//     one-frame-at-a-time event-queue walk,
+//  2. produce an observer stream that repeats byte for byte across
+//     production runs — routing order is the canonical one, never an
+//     artifact of execution order, and
 //  3. on fully-eligible quanta (Q <= T), emit each quantum's packet records
 //     in canonical (node, seq) order: sources ascending, and each source's
 //     frames in send order, with fault-injected duplicates adjacent to
@@ -435,38 +436,37 @@ func TestBatchedRoutingCanonicalOrder(t *testing.T) {
 		var results []*Result
 		var streams [][]string
 		var probe1 *packetOrderProbe
-		for _, workers := range []int{0, 1, 3} {
+		for k, st := range []strategy{reference, production, production} {
 			pr := &packetOrderProbe{}
 			cfg := testConfig(nodes, w, fixed(q))
 			cfg.Net = net
-			cfg.Workers = workers
 			cfg.Lookahead = LookaheadMatrix
 			cfg.TraceQuanta = true
 			cfg.TracePackets = true
 			cfg.Faults = plan
 			cfg.Observer = pr
-			res, err := Run(cfg)
+			res, err := st.run(cfg)
 			if err != nil {
-				t.Fatalf("%s workers=%d: %v", name, workers, err)
+				t.Fatalf("%s run %d (%s): %v", name, k, st.name, err)
 			}
 			results = append(results, res)
 			streams = append(streams, pr.events)
-			if workers == 1 {
+			if k == 1 {
 				probe1 = pr
 			}
 		}
-		// Workers >= 1 must agree on everything including stream order: the
-		// batched route order is canonical, never a worker-schedule artifact.
+		// Production runs must agree on everything including stream order:
+		// the batched route order is canonical, never an execution artifact.
 		if !reflect.DeepEqual(results[1], results[2]) {
-			t.Errorf("%s: Result differs between workers=1 and workers=3:\n%+v\nvs\n%+v",
+			t.Errorf("%s: Result differs between two production runs:\n%+v\nvs\n%+v",
 				name, *results[1], *results[2])
 		}
 		if !reflect.DeepEqual(streams[1], streams[2]) {
-			t.Errorf("%s: observer stream differs between workers=1 and workers=3", name)
+			t.Errorf("%s: observer stream differs between two production runs", name)
 		}
-		// The classic engine interleaves its packet trace in host-event
-		// order (the documented Workers == 0 exception), so against it the
-		// trace compares as a multiset; every other field is bit-identical.
+		// The reference strategy interleaves its packet trace in host-event
+		// order, so against it the trace compares as a multiset; every
+		// other field is bit-identical.
 		sortedPkts := func(res *Result) []string {
 			ps := make([]string, len(res.Packets))
 			for i, p := range res.Packets {
@@ -476,16 +476,16 @@ func TestBatchedRoutingCanonicalOrder(t *testing.T) {
 			return ps
 		}
 		if !reflect.DeepEqual(sortedPkts(results[0]), sortedPkts(results[1])) {
-			t.Errorf("%s: packet multiset differs between workers=0 and workers=1", name)
+			t.Errorf("%s: packet multiset differs between reference and production", name)
 		}
 		r0, r1 := *results[0], *results[1]
 		r0.Packets, r1.Packets = nil, nil
 		if !reflect.DeepEqual(r0, r1) {
-			t.Errorf("%s: Result (modulo packet-trace order) differs between workers=0 and workers=1:\n%+v\nvs\n%+v",
+			t.Errorf("%s: Result (modulo packet-trace order) differs between reference and production:\n%+v\nvs\n%+v",
 				name, r0, r1)
 		}
 		if q > net.MinLatency(nodes) {
-			continue // partially or fully classic quanta: batched order not total
+			continue // event-queue-walked quanta: batched order not total
 		}
 		ordered++
 		for qi, pkts := range probe1.quanta {

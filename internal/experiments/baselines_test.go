@@ -3,6 +3,8 @@ package experiments
 import (
 	"reflect"
 	"testing"
+
+	"clustersim/internal/cluster"
 )
 
 // A shared baseline cache must change how often ground truths are computed
@@ -89,27 +91,28 @@ func TestBaselineCacheSharing(t *testing.T) {
 	}
 }
 
-// The intra-quantum fast path must be invisible through the experiment
-// layer too: a grid run with IntraWorkers set matches the classic engine
+// The execution strategy must be invisible through the experiment layer
+// too: a grid run under the reference strategy matches the production walk
 // cell for cell.
-func TestGridIntraWorkerInvariance(t *testing.T) {
+func TestGridStrategyInvariance(t *testing.T) {
 	env := DefaultEnv()
 	env.Workers = 2
 	ws := NASSuite(0.02)[1:2] // nas.is: traffic-heavy
 	nc := []int{2, 4}
 	specs := StandardSpecs()[3:4] // one adaptive spec
 
-	classic, err := Grid(env, ws, nc, specs)
+	prod, err := Grid(env, ws, nc, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	env.IntraWorkers = 2
-	fast, err := Grid(env, ws, nc, specs)
+	runCluster = cluster.RunReference
+	defer func() { runCluster = cluster.Run }()
+	ref, err := Grid(env, ws, nc, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(classic, fast) {
-		t.Errorf("cells differ between IntraWorkers=0 and 2:\n%+v\n%+v", classic, fast)
+	if !reflect.DeepEqual(ref, prod) {
+		t.Errorf("cells differ between the reference and production strategies:\n%+v\n%+v", ref, prod)
 	}
 }
 

@@ -37,11 +37,11 @@ type Env struct {
 	// execution. Whatever the value, results are assembled in the same
 	// fixed order, so every experiment output is worker-count independent.
 	Workers int
-	// IntraWorkers enables the engine's intra-quantum parallel fast path
-	// inside each simulation (cluster.Config.Workers): ground-truth quanta
-	// (Q <= minimum network latency) step their nodes concurrently on this
-	// many workers. 0 keeps every simulation on the classic sequential
-	// engine. Results are bit-identical either way.
+	// IntraWorkers must be zero.
+	//
+	// Deprecated: it fed cluster.Config.Workers, whose intra-quantum worker
+	// pool is gone; runs with a non-zero value fail that field's
+	// validation.
 	IntraWorkers int
 	// Baselines, when non-nil, memoizes ground-truth (Q = 1µs) runs across
 	// experiment runners, so regenerating every figure pays for each
@@ -57,7 +57,7 @@ type Env struct {
 	// Profiles, when non-nil, attaches a sync-overhead profiler to every run
 	// of the experiment, labelled "workload/nodes/config" (with the fault
 	// fingerprint appended when faults are active). The sweep's report is
-	// canonical regardless of Workers/IntraWorkers: registration order is
+	// canonical regardless of Workers: registration order is
 	// erased by sorting and byte-identical duplicates (e.g. a baseline run
 	// shared across runners) collapse.
 	Profiles *prof.Sweep
@@ -155,6 +155,11 @@ type Cell struct {
 	Stats     cluster.Stats
 }
 
+// runCluster executes every simulation of the package. Tests swap in
+// cluster.RunReference to compare the two execution strategies through the
+// experiment layer.
+var runCluster = cluster.Run
+
 // runOne executes one configuration.
 func runOne(env Env, w workloads.Workload, nodes int, spec Spec, traceQ, traceP bool) (*cluster.Result, error) {
 	cfg := cluster.Config{
@@ -177,7 +182,7 @@ func runOne(env Env, w workloads.Workload, nodes int, spec Spec, traceQ, traceP 
 		}
 		cfg.Profiler = env.Profiles.New(label)
 	}
-	res, err := cluster.Run(cfg)
+	res, err := runCluster(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %s ×%d %q: %w", w.Name, nodes, spec.Label, err)
 	}

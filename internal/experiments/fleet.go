@@ -24,22 +24,17 @@ import (
 
 // This file implements the scenario regression fleet (DESIGN.md §13): a
 // declarative manifest of simulation scenarios — topology × workload ×
-// quantum policy × fault plan × lookahead mode — each executed at several
-// intra-quantum worker counts, fingerprinted canonically, and diffed
-// against committed goldens. cmd/simfleet is the CLI; the fleet-smoke CI
-// job and `make fleet` gate on it.
+// quantum policy × fault plan × lookahead mode — each executed under both
+// engine execution strategies (cluster.RunReference and cluster.Run),
+// fingerprinted canonically, and diffed against committed goldens.
+// cmd/simfleet is the CLI; the fleet-smoke CI job and `make fleet` gate on
+// it.
 
 // ManifestSchema identifies the fleet manifest encoding.
 const ManifestSchema = "clustersim-fleet-manifest/1"
 
 // GoldenSchema identifies the committed fingerprint file encoding.
 const GoldenSchema = "clustersim-fleet/1"
-
-// DefaultFleetWorkers is the worker-count matrix every scenario runs at
-// unless it overrides it: the classic event-queue engine (0), the inline
-// fast path (1), and a fanned-out pool (3). Fingerprints must be identical
-// across all of them.
-var DefaultFleetWorkers = []int{0, 1, 3}
 
 // Scenario is one declarative fleet entry. String fields reuse the CLI
 // flag syntaxes (simtime durations, faults.Parse specs, rack topologies) so
@@ -62,7 +57,7 @@ type Scenario struct {
 	// "rack:<radix>:<edge>:<core>" builds a two-level fat-tree, and
 	// "mixedwan:<rack>:<rackLat>:<wanLat>" builds one tight rack of the
 	// given size with every other node a WAN singleton — the geometry that
-	// exercises the partitioned (graded) fast path.
+	// exercises the partitioned (graded) walk.
 	Topo string `json:"topo,omitempty"`
 	// Lookahead is "matrix" (default) or "scalar" (cluster.LookaheadMode).
 	Lookahead string `json:"lookahead,omitempty"`
@@ -75,8 +70,6 @@ type Scenario struct {
 	// MaxGuest caps guest time ("50ms"); empty keeps the environment
 	// default. Fleet scenarios should set it low enough to stay cheap.
 	MaxGuest string `json:"max_guest,omitempty"`
-	// Workers overrides DefaultFleetWorkers for this scenario.
-	Workers []int `json:"workers,omitempty"`
 }
 
 // Manifest is a parsed fleet manifest.
@@ -136,7 +129,6 @@ type scenarioConfig struct {
 	policy    func() quantum.Policy
 	plan      *faults.Plan
 	lookahead cluster.LookaheadMode
-	workers   []int
 }
 
 // config resolves every string field of the scenario. It is the single
@@ -188,16 +180,7 @@ func (sc *Scenario) config() (*scenarioConfig, error) {
 	if err != nil {
 		return nil, err
 	}
-	workers := sc.Workers
-	if len(workers) == 0 {
-		workers = DefaultFleetWorkers
-	}
-	for _, w := range workers {
-		if w < 0 {
-			return nil, fmt.Errorf("negative worker count %d", w)
-		}
-	}
-	return &scenarioConfig{w: w, env: env, policy: policy, plan: plan, lookahead: lookahead, workers: workers}, nil
+	return &scenarioConfig{w: w, env: env, policy: policy, plan: plan, lookahead: lookahead}, nil
 }
 
 // ResolveWorkload maps a workload name to its runnable form with compute
@@ -238,7 +221,9 @@ func ResolveWorkload(name string, scale float64) (workloads.Workload, error) {
 
 // ParsePolicy builds a quantum-policy constructor from the CLI/manifest
 // representation: a fixed quantum string, overridden by a non-empty dyn
-// spec min:max:inc:dec. An empty quantum means 1µs (ground truth).
+// spec min:max:inc:dec. An empty quantum means 1µs (ground truth). Adaptive
+// bounds and factors are validated here, so the returned constructor never
+// panics.
 func ParsePolicy(quantumSpec, dynSpec string) (func() quantum.Policy, error) {
 	if dynSpec == "" {
 		if quantumSpec == "" {
@@ -273,6 +258,9 @@ func ParsePolicy(quantumSpec, dynSpec string) (func() quantum.Policy, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dyn dec: %v", err)
 	}
+	if err := (&quantum.Adaptive{Min: min, Max: max, Inc: inc, Dec: dec}).Validate(); err != nil {
+		return nil, fmt.Errorf("dyn: %v", err)
+	}
 	return func() quantum.Policy { return quantum.NewAdaptive(min, max, inc, dec) }, nil
 }
 
@@ -292,13 +280,13 @@ func ParseTopo(spec string) (netmodel.SwitchModel, error) {
 		if err != nil || radix < 1 {
 			return nil, fmt.Errorf("topo radix %q: want a positive integer", parts[1])
 		}
-		edge, err := simtime.ParseDuration(parts[2])
+		edge, err := parseLatency("edge", parts[2])
 		if err != nil {
-			return nil, fmt.Errorf("topo edge latency: %v", err)
+			return nil, err
 		}
-		core, err := simtime.ParseDuration(parts[3])
+		core, err := parseLatency("core", parts[3])
 		if err != nil {
-			return nil, fmt.Errorf("topo core latency: %v", err)
+			return nil, err
 		}
 		return &netmodel.FatTreeSwitch{Radix: radix, EdgeLatency: edge, CoreLatency: core}, nil
 	case "mixedwan":
@@ -306,18 +294,30 @@ func ParseTopo(spec string) (netmodel.SwitchModel, error) {
 		if err != nil || rack < 1 {
 			return nil, fmt.Errorf("topo rack size %q: want a positive integer", parts[1])
 		}
-		rackLat, err := simtime.ParseDuration(parts[2])
+		rackLat, err := parseLatency("rack", parts[2])
 		if err != nil {
-			return nil, fmt.Errorf("topo rack latency: %v", err)
+			return nil, err
 		}
-		wanLat, err := simtime.ParseDuration(parts[3])
+		wanLat, err := parseLatency("wan", parts[3])
 		if err != nil {
-			return nil, fmt.Errorf("topo wan latency: %v", err)
+			return nil, err
 		}
 		return &mixedWANSwitch{rack: rack, rackLat: rackLat, wanLat: wanLat}, nil
 	default:
 		return nil, fmt.Errorf("unknown topology kind %q (want rack or mixedwan)", parts[0])
 	}
+}
+
+// parseLatency parses one topology latency, which must be positive.
+func parseLatency(name, spec string) (simtime.Duration, error) {
+	d, err := simtime.ParseDuration(spec)
+	if err != nil {
+		return 0, fmt.Errorf("topo %s latency: %v", name, err)
+	}
+	if d <= 0 {
+		return 0, fmt.Errorf("topo %s latency must be positive, got %v", name, d)
+	}
+	return d, nil
 }
 
 // mixedWANSwitch puts the first rack nodes at rackLat from each other and
@@ -349,30 +349,35 @@ func ParseLookahead(s string) (cluster.LookaheadMode, error) {
 	}
 }
 
-// ScenarioOutcome is the result of running one scenario across its worker
-// matrix.
+// fleetStrategies are the two execution strategies every scenario runs
+// under; their fingerprints must be identical.
+var fleetStrategies = []struct {
+	name string
+	run  func(cluster.Config) (*cluster.Result, error)
+}{{"reference", cluster.RunReference}, {"production", cluster.Run}}
+
+// ScenarioOutcome is the result of running one scenario under both
+// execution strategies.
 type ScenarioOutcome struct {
 	Name string
 	// Fingerprint is the scenario's canonical fingerprint: the hex SHA-256
 	// over the canonical result encoding plus the canonical profiler report
-	// bytes, identical for every worker count when the engine is healthy.
+	// bytes, identical under both strategies when the engine is healthy.
 	Fingerprint string
-	// Workers echoes the worker counts run.
-	Workers []int
-	// Err is a run failure (any worker count); Mismatch describes a
-	// cross-worker fingerprint divergence — the engine-bug signal that must
-	// fail the fleet even when no golden exists yet.
+	// Err is a run failure (either strategy); Mismatch describes a
+	// cross-strategy fingerprint divergence — the engine-bug signal that
+	// must fail the fleet even when no golden exists yet.
 	Err      error
 	Mismatch string
-	// Stats echoes the run's engine statistics (identical across worker
-	// counts), letting callers assert manifest coverage: FastFullQuanta > 0
-	// means the full fast path engaged, FastPartialQuanta > 0 the graded
-	// partitioned path.
+	// Stats echoes the run's engine statistics (identical under both
+	// strategies), letting callers assert manifest coverage:
+	// FastFullQuanta > 0 means the all-loose walk engaged,
+	// FastPartialQuanta > 0 the graded partitioned walk.
 	Stats cluster.Stats
 }
 
-// runScenario executes the scenario once per worker count and cross-checks
-// the fingerprints.
+// runScenario executes the scenario under the reference and the
+// production strategy and cross-checks the fingerprints.
 func runScenario(sc Scenario) ScenarioOutcome {
 	out := ScenarioOutcome{Name: sc.Name}
 	rc, err := sc.config()
@@ -380,13 +385,8 @@ func runScenario(sc Scenario) ScenarioOutcome {
 		out.Err = err
 		return out
 	}
-	out.Workers = rc.workers
-	type runFP struct {
-		workers int
-		fp      string
-	}
-	var fps []runFP
-	for _, workers := range rc.workers {
+	var fps [2]string
+	for k, st := range fleetStrategies {
 		profiler := prof.New()
 		cfg := cluster.Config{
 			Nodes:        sc.Nodes,
@@ -398,36 +398,31 @@ func runScenario(sc Scenario) ScenarioOutcome {
 			MaxGuest:     rc.env.MaxGuest,
 			TraceQuanta:  true,
 			TracePackets: true,
-			Workers:      workers,
 			Faults:       rc.plan,
 			Profiler:     profiler,
 			Lookahead:    rc.lookahead,
 		}
-		res, err := cluster.Run(cfg)
+		res, err := st.run(cfg)
 		if err != nil {
-			out.Err = fmt.Errorf("workers=%d: %w", workers, err)
+			out.Err = fmt.Errorf("%s: %w", st.name, err)
 			return out
 		}
 		out.Stats = res.Stats
 		h := sha256.New()
 		h.Write(cluster.CanonicalResult(res))
 		h.Write(profiler.Report().JSON())
-		fps = append(fps, runFP{workers: workers, fp: hex.EncodeToString(h.Sum(nil))})
+		fps[k] = hex.EncodeToString(h.Sum(nil))
 	}
-	out.Fingerprint = fps[0].fp
-	for _, r := range fps[1:] {
-		if r.fp != fps[0].fp {
-			out.Mismatch = fmt.Sprintf("fingerprint diverges across worker counts: workers=%d %s vs workers=%d %s",
-				fps[0].workers, fps[0].fp, r.workers, r.fp)
-			return out
-		}
+	out.Fingerprint = fps[0]
+	if fps[1] != fps[0] {
+		out.Mismatch = fmt.Sprintf("fingerprint diverges across execution strategies: reference %s vs production %s", fps[0], fps[1])
 	}
 	return out
 }
 
 // RunFleet executes every scenario of the manifest, fanning the scenarios
 // out over a worker pool of the given size (<= 0 means GOMAXPROCS). Each
-// scenario's own worker-count matrix runs sequentially inside its slot.
+// scenario's two strategy runs execute sequentially inside its slot.
 // Outcomes come back in manifest order regardless of pool scheduling.
 // progress, when non-nil, is called once per finished scenario from pool
 // goroutines (it must be safe for concurrent use).
@@ -508,7 +503,8 @@ func LoadGolden(path string) (*Golden, error) {
 type FleetDiff struct {
 	// Changed lists scenarios whose fingerprint moved.
 	Changed []FleetDelta `json:"changed,omitempty"`
-	// Failed lists scenarios that errored or diverged across worker counts.
+	// Failed lists scenarios that errored or diverged across execution
+	// strategies.
 	Failed []FleetFailure `json:"failed,omitempty"`
 	// Missing lists scenarios present in the manifest but absent from the
 	// golden file (run simfleet -update); Extra the reverse.

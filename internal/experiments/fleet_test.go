@@ -5,14 +5,14 @@ import (
 	"testing"
 )
 
-// tinyManifest is a fast three-scenario fleet touching all three engine
-// paths: classic-only (workers pinned to 0), the full fast path, and the
-// graded mixedwan geometry.
+// tinyManifest is a fast three-scenario fleet touching all three execution
+// shapes: the event-queue walk (Q above every latency), the all-loose walk,
+// and the graded mixedwan geometry.
 const tinyManifest = `{
   "schema": "clustersim-fleet-manifest/1",
   "scenarios": [
     {"name": "classic", "workload": "pingpong", "nodes": 2, "quantum": "2us",
-     "max_guest": "5ms", "workers": [0]},
+     "max_guest": "5ms"},
     {"name": "fast", "workload": "pingpong", "nodes": 4, "quantum": "1us",
      "max_guest": "5ms"},
     {"name": "graded", "workload": "uniform", "nodes": 6, "quantum": "5us",
@@ -44,10 +44,15 @@ func TestParseManifestValidation(t *testing.T) {
 		{"bad quantum", `{"schema": "clustersim-fleet-manifest/1", "scenarios": [{"name": "a", "workload": "pingpong", "nodes": 2, "quantum": "fast"}]}`, "quantum"},
 		{"negative quantum", `{"schema": "clustersim-fleet-manifest/1", "scenarios": [{"name": "a", "workload": "pingpong", "nodes": 2, "quantum": "-1us"}]}`, "positive"},
 		{"bad dyn", `{"schema": "clustersim-fleet-manifest/1", "scenarios": [{"name": "a", "workload": "pingpong", "nodes": 2, "dyn": "1us:1ms"}]}`, "dyn"},
+		{"dyn zero factors", `{"schema": "clustersim-fleet-manifest/1", "scenarios": [{"name": "a", "workload": "pingpong", "nodes": 2, "dyn": "1us:1ms:0:0"}]}`, "Inc"},
+		{"dyn inverted bounds", `{"schema": "clustersim-fleet-manifest/1", "scenarios": [{"name": "a", "workload": "pingpong", "nodes": 2, "dyn": "1ms:1us:1.03:0.02"}]}`, "Max"},
 		{"bad topo", `{"schema": "clustersim-fleet-manifest/1", "scenarios": [{"name": "a", "workload": "pingpong", "nodes": 2, "topo": "ring:4"}]}`, "topo"},
+		{"negative rack edge latency", `{"schema": "clustersim-fleet-manifest/1", "scenarios": [{"name": "a", "workload": "pingpong", "nodes": 2, "topo": "rack:4:-1us:2us"}]}`, "edge latency"},
+		{"zero rack core latency", `{"schema": "clustersim-fleet-manifest/1", "scenarios": [{"name": "a", "workload": "pingpong", "nodes": 2, "topo": "rack:4:500ns:0s"}]}`, "core latency"},
+		{"negative wan latency", `{"schema": "clustersim-fleet-manifest/1", "scenarios": [{"name": "a", "workload": "pingpong", "nodes": 2, "topo": "mixedwan:4:500ns:-50us"}]}`, "wan latency"},
 		{"bad lookahead", `{"schema": "clustersim-fleet-manifest/1", "scenarios": [{"name": "a", "workload": "pingpong", "nodes": 2, "lookahead": "psychic"}]}`, "lookahead"},
 		{"bad faults", `{"schema": "clustersim-fleet-manifest/1", "scenarios": [{"name": "a", "workload": "pingpong", "nodes": 2, "faults": "chaos=1"}]}`, "chaos"},
-		{"negative workers", `{"schema": "clustersim-fleet-manifest/1", "scenarios": [{"name": "a", "workload": "pingpong", "nodes": 2, "workers": [-1]}]}`, "worker"},
+		{"retired workers field", `{"schema": "clustersim-fleet-manifest/1", "scenarios": [{"name": "a", "workload": "pingpong", "nodes": 2, "workers": [0]}]}`, "workers"},
 		{"unknown field", `{"schema": "clustersim-fleet-manifest/1", "scenarios": [{"name": "a", "workload": "pingpong", "nodes": 2, "qantum": "1us"}]}`, "qantum"},
 	}
 	for _, c := range cases {
@@ -67,7 +72,8 @@ func TestParseManifestValidation(t *testing.T) {
 }
 
 // The fleet must be deterministic end to end: outcomes in manifest order,
-// every worker count bit-identical, and two full fleet runs byte-equal.
+// both execution strategies bit-identical, and two full fleet runs
+// byte-equal.
 func TestRunFleetDeterministic(t *testing.T) {
 	m := parseTiny(t)
 	run := func() []ScenarioOutcome { return RunFleet(m, 2, nil) }

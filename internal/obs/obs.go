@@ -66,7 +66,7 @@ type RunSummary struct {
 	// FastEligibleQuanta counts quanta eligible for the intra-quantum fast
 	// path (Q at most the minimum network latency, no packet tap).
 	// Eligibility is a property of the configuration and policy trajectory,
-	// not of the Workers setting, so it is identical across engines.
+	// not of the execution strategy, so it is identical across strategies.
 	FastEligibleQuanta int
 }
 
@@ -85,8 +85,8 @@ type QuantumRecord struct {
 	HostEnd      simtime.Host // barrier release that ended the quantum
 	// FastEligible reports whether this quantum was eligible for the
 	// intra-quantum fast path (Q <= minimum network latency, no packet
-	// tap). Deliberately independent of the Workers gate so records stay
-	// bit-identical across worker counts and engine paths.
+	// tap). Deliberately independent of how the quantum was executed, so
+	// records stay bit-identical across execution strategies.
 	FastEligible bool
 }
 

@@ -10,20 +10,19 @@
 //
 // Determinism contract: for the deterministic engine (cluster.Run) every
 // value the profiler records is derived from simulated host/guest time, so
-// the end-of-run Report is byte-identical across Workers settings — the
-// classic event-queue path and the intra-quantum fast path feed the profiler
-// the same numbers. The wall-clock parallel runner (cluster.RunParallel)
+// the end-of-run Report is byte-identical under both execution strategies —
+// the event-queue walk (cluster.RunReference) and the production walk feed
+// the profiler the same numbers. The wall-clock parallel runner (cluster.RunParallel)
 // feeds real elapsed time instead; its reports are measurements, not
 // replayable artifacts, and say so via the Engine field.
 //
 // The per-quantum disable cause records *eligibility*, which is deterministic
 // config+policy state: the output-queue tap (Net.Output) suppresses the fast
 // path, a topology without a positive minimum latency yields no lookahead,
-// and otherwise a quantum is eligible iff Q <= lookahead. The remaining gate
-// — Workers < 1 selects the classic engine — is engine selection, not a
-// property of the run's dynamics, so it is deliberately excluded from the
-// report (which must not vary across worker counts); it is visible live via
-// obs.Registry instead. Fault injection does NOT disengage the fast path.
+// and otherwise a quantum is eligible iff Q <= lookahead. Which execution
+// strategy walked the quantum is not a property of the run's dynamics, so
+// it is deliberately excluded from the report (which must not vary across
+// strategies). Fault injection does NOT disengage the fast path.
 package prof
 
 import (
@@ -389,9 +388,9 @@ func (p *Profiler) NodeWait(node int, d simtime.Duration) {
 // PartitionWait records the barrier wait of one lookahead partition for the
 // current quantum: the host time between the partition's last member
 // finishing and the global barrier releasing everyone. In the deterministic
-// engine the value is derived from simulated time for every engine path, so
-// it stays byte-identical across Workers settings; the parallel runner feeds
-// real wall-clock waits.
+// engine the value is derived from simulated time for every execution
+// strategy, so it stays byte-identical across them; the parallel runner
+// feeds real wall-clock waits.
 func (p *Profiler) PartitionWait(d simtime.Duration) {
 	p.mu.Lock()
 	defer p.mu.Unlock()

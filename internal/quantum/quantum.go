@@ -87,14 +87,17 @@ type Adaptive struct {
 // not exceed Max): these are programming errors, not runtime conditions.
 func NewAdaptive(min, max simtime.Duration, inc, dec float64) *Adaptive {
 	a := &Adaptive{Min: min, Max: max, Inc: inc, Dec: dec}
-	if err := a.validate(); err != nil {
+	if err := a.Validate(); err != nil {
 		panic(err)
 	}
 	a.q = float64(min)
 	return a
 }
 
-func (a *Adaptive) validate() error {
+// Validate reports whether Algorithm 1 can execute the bounds and factors
+// — the conditions NewAdaptive panics on, for callers that take them from
+// user input.
+func (a *Adaptive) Validate() error {
 	switch {
 	case a.Min <= 0:
 		return fmt.Errorf("quantum: adaptive Min must be positive, got %v", a.Min)
