@@ -70,6 +70,9 @@ func TestCLIFlagErrors(t *testing.T) {
 		{"bad lookahead", []string{"-lookahead", "psychic"}, "lookahead wants matrix or scalar"},
 		{"faults unknown field", []string{"-faults", "chaos=1"}, `unknown field "chaos"`},
 		{"faults bad window", []string{"-faults", "down=5ms"}, "is not start-end"},
+		{"faults slowdown node past the cluster", []string{"-nodes", "4", "-faults", "slow=99:2"}, "slowdown node 99 outside the 4-node cluster"},
+		{"faults negative slowdown node", []string{"-nodes", "4", "-faults", "slow=-1:2"}, "slowdown node -1 outside the 4-node cluster"},
+		{"faults slowdown node past the parallel cluster", []string{"-nodes", "4", "-parallel", "-faults", "slow=4:2"}, "slowdown node 4 outside the 4-node cluster"},
 		{"contention missing latency", []string{"-contention", "10e9"}, "-contention wants <bytes/s>:<latency>"},
 		{"contention negative rate", []string{"-contention", "-1:500ns"}, "non-negative"},
 		{"zero nodes", []string{"-nodes", "0", "-workload", "pingpong"}, "need at least 1 node"},

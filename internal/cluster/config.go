@@ -49,12 +49,12 @@ type Config struct {
 	// TraceQuanta records one entry per synchronization quantum (needed for
 	// the Figure 9 speedup-over-time series).
 	TraceQuanta bool
-	// LossRate drops each frame at the controller with this probability —
-	// an extension beyond the paper's perfect switch, used to exercise the
-	// msg layer's reliable mode. Drops are deterministic given LossSeed.
+	// LossRate must be zero.
+	//
+	// Deprecated: Faults is the one loss mechanism; use a plan with
+	// Default.Loss set (faults.Plan{Default: faults.Link{Loss: p}}).
+	// Validate rejects a non-zero value.
 	LossRate float64
-	// LossSeed seeds the loss draws.
-	LossSeed uint64
 	// Faults, when non-nil, injects deterministic per-link loss,
 	// duplication, delay jitter, link-down windows, and per-node host
 	// slowdowns (see internal/faults). Every decision is a pure function of
@@ -120,8 +120,8 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("cluster: nil workload program constructor")
 	case c.Guest.CPUHz <= 0:
 		return fmt.Errorf("cluster: guest CPUHz must be positive, got %v", c.Guest.CPUHz)
-	case c.LossRate < 0 || c.LossRate >= 1:
-		return fmt.Errorf("cluster: LossRate must be in [0,1), got %v", c.LossRate)
+	case c.LossRate != 0:
+		return fmt.Errorf("cluster: LossRate is deprecated and must be 0 (use Faults), got %v", c.LossRate)
 	case c.Workers != 0:
 		return fmt.Errorf("cluster: Workers is deprecated and must be 0, got %d", c.Workers)
 	}
@@ -129,6 +129,9 @@ func (c *Config) Validate() error {
 		return err
 	}
 	if err := c.Faults.Validate(); err != nil {
+		return err
+	}
+	if err := c.Faults.ValidateNodes(c.Nodes); err != nil {
 		return err
 	}
 	return c.Host.Validate()
@@ -155,9 +158,9 @@ type Stats struct {
 	// StragglerDelay is the total guest time by which straggler deliveries
 	// were late versus their ideal arrival.
 	StragglerDelay simtime.Duration
-	// Dropped counts frames discarded by loss injection — Config.LossRate
-	// draws, fault-plan loss, and link-down windows (zero on the paper's
-	// perfect switch).
+	// Dropped counts frames discarded by the fault plan — its loss draws
+	// and link-down windows (zero on the paper's perfect switch). Every
+	// drop is also traced as a PacketRecord with Dropped set.
 	Dropped int
 	// Duplicated counts extra frame copies injected by a fault plan's
 	// duplication probability. Each copy is delivered and classified

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"strings"
 	"testing"
 
 	"clustersim/internal/guest"
@@ -100,15 +101,16 @@ func TestOutputQueueDeterministic(t *testing.T) {
 	}
 }
 
+// TestLossValidation: LossRate is deprecated (the fault plan is the one
+// loss mechanism), so any non-zero value is rejected, in range or not.
 func TestLossValidation(t *testing.T) {
 	w := workloads.Silent(simtime.Microsecond)
 	cfg := testConfig(2, w, fixed(simtime.Microsecond))
-	cfg.LossRate = 1.0
-	if _, err := Run(cfg); err == nil {
-		t.Error("LossRate=1 accepted")
-	}
-	cfg.LossRate = -0.1
-	if _, err := Run(cfg); err == nil {
-		t.Error("negative LossRate accepted")
+	for _, rate := range []float64{0.1, 1.0, -0.1} {
+		cfg.LossRate = rate
+		_, err := Run(cfg)
+		if err == nil || !strings.Contains(err.Error(), "deprecated") {
+			t.Errorf("LossRate=%v: got %v, want a deprecation error", rate, err)
+		}
 	}
 }

@@ -7,12 +7,10 @@ import (
 	"clustersim/internal/eventq"
 	"clustersim/internal/guest"
 	"clustersim/internal/host"
-	"clustersim/internal/netmodel"
 	"clustersim/internal/obs"
 	"clustersim/internal/pkt"
 	"clustersim/internal/prof"
 	"clustersim/internal/quantum"
-	"clustersim/internal/rng"
 	"clustersim/internal/simtime"
 )
 
@@ -112,18 +110,6 @@ func newNodeArena(n int) nodeArena {
 	}
 }
 
-// flight is one frame in flight through the controller: the interned record
-// an evFrame event (or a deferred barrier entry) points at. Flights live in a
-// per-quantum slab — every frame sent in a quantum is also routed in it, so
-// the slab resets to length zero at each quantum start and reaches a steady
-// state with no allocation.
-type flight struct {
-	f        *pkt.Frame
-	src, dst int32
-	tSend    simtime.Guest // guest time the frame left the source workload
-	tD       simtime.Guest // exact simulated arrival time
-}
-
 // routed is one deferred barrier entry: a flight and the controller-arrival
 // host time the event-queue walk would have dispatched it at.
 type routed struct {
@@ -152,13 +138,16 @@ type engine struct {
 	obs obs.Observer
 	// prof mirrors cfg.Profiler with the same nil-guard discipline.
 	prof *prof.Profiler
-	// portFree tracks, per destination, when its switch output port frees
-	// up (guest time); used only when the net model has an OutputQueue.
-	portFree []simtime.Guest
+	// ctl is the network controller: link physics, faults, classification
+	// and the controller's accounting, shared with the parallel runner.
+	ctl *controller
 
-	// flights is the quantum's flight slab; pend, delivCnt, delivOff and
-	// delivSorted are the batched barrier router's reusable buffers
-	// (DESIGN.md §12).
+	// flights is the quantum's flight slab: the interned records evFrame
+	// events and deferred barrier entries point at. Every frame sent in a
+	// quantum is also routed in it, so the slab resets to length zero at
+	// each quantum start and reaches a steady state with no allocation.
+	// pend, delivCnt, delivOff and delivSorted are the batched barrier
+	// router's reusable buffers (DESIGN.md §12).
 	flights     []flight
 	pend        []pendDeliv
 	delivCnt    []int32
@@ -168,10 +157,8 @@ type engine struct {
 	// them to the guest one at a time.
 	batching bool
 
-	limit     simtime.Guest // current quantum end
-	npQuantum int           // frames routed this quantum
-	strQuant  int           // stragglers this quantum
-	lastEvtH  simtime.Host  // latest frame event host time this quantum
+	limit    simtime.Guest // current quantum end
+	lastEvtH simtime.Host  // latest frame event host time this quantum
 
 	doneCount int
 	res       Result
@@ -182,23 +169,6 @@ type engine struct {
 	// nil when every node runs at factor 1 — the nil check keeps the
 	// fault-free path byte-identical to an engine without the feature.
 	slow []float64
-
-	// Lookahead (DESIGN.md §7, §11). la is the per-link lookahead
-	// structure: the probed node-pair latency matrix and the
-	// lookahead-closed partitionings it induces per quantum size. It is
-	// built for every configuration that admits lookahead (matrix mode, no
-	// output tap, positive bounds) — under RunReference too — so
-	// eligibility accounting, partition grades and the graded Stats fields
-	// never depend on the execution strategy. Nil in scalar mode or when the
-	// topology rules lookahead out.
-	la *lookahead
-	// eligLat is the scalar eligibility lookahead (la.min in matrix mode,
-	// Net.MinLatency in scalar mode): any quantum Q <= eligLat is provably
-	// free of intra-quantum arrivals cluster-wide. Zero when the
-	// output-queue tap or the topology rules lookahead out entirely.
-	eligLat simtime.Duration
-	qElig   bool // current quantum's full (cluster-wide) eligibility
-	nElig   int  // eligible quanta so far
 
 	// reference selects the reference strategy (RunReference): every
 	// quantum executes as tightAll, the pure event-queue walk.
@@ -253,7 +223,11 @@ func runEngine(cfg Config, reference bool) (*Result, error) {
 	e.hm.Reserve(cfg.Nodes)
 	defer e.shutdown()
 	e.na = newNodeArena(cfg.Nodes)
-	e.portFree = make([]simtime.Guest, cfg.Nodes)
+	e.ctl = newController(cfg.Net, cfg.Faults, cfg.Nodes, cfg.Lookahead, &e.res.Stats)
+	e.ctl.obs, e.ctl.prof = cfg.Observer, cfg.Profiler
+	if cfg.TracePackets {
+		e.ctl.packets = &e.res.Packets
+	}
 	e.delivCnt = make([]int32, cfg.Nodes)
 	e.delivOff = make([]int32, cfg.Nodes)
 	e.defs = make([][]routed, cfg.Nodes)
@@ -270,7 +244,7 @@ func runEngine(cfg Config, reference bool) (*Result, error) {
 			e.slow[i] = fp.Slowdown(i)
 		}
 	}
-	e.initLookahead()
+	e.initPartitionings()
 	e.res.PolicyName = e.policy.Name()
 	if err := e.run(); err != nil {
 		return nil, err
@@ -289,27 +263,12 @@ func (e *engine) shutdown() {
 	}
 }
 
-// initLookahead probes the configuration's lookahead and builds the
-// degenerate execution partitionings.
-//
-// The bounds come from the per-link lookahead matrix — every pair probed
-// with the cheapest possible frame (netmodel.MinProbe), generalizing the
-// paper's scalar T — or, in scalar mode, from Net.MinLatency alone.
-// Configurations with switch output-port contention (Net.Output) are
-// excluded before the probe: the port-free state must be updated in the
-// exact order the controller observes frames, which only the event queue
-// reproduces.
-func (e *engine) initLookahead() {
+// initPartitionings builds the degenerate execution partitionings from the
+// controller's lookahead (newController probes it).
+func (e *engine) initPartitionings() {
 	n := e.cfg.Nodes
-	if e.cfg.Net.Output == nil {
-		if e.cfg.Lookahead == LookaheadScalar {
-			e.eligLat = e.cfg.Net.MinLatency(n)
-		} else if e.la = newLookahead(e.cfg.Net, n); e.la != nil {
-			e.eligLat = e.la.min
-		}
-	}
 	e.tightAll = newPartitioning(make([]int32, n), 1)
-	if e.la == nil && e.eligLat > 0 {
+	if e.ctl.la == nil && e.ctl.eligLat > 0 {
 		ids := make([]int32, n)
 		for i := range ids {
 			ids[i] = int32(i)
@@ -330,7 +289,7 @@ func (e *engine) execution(part *partitioning) *partitioning {
 		return e.tightAll
 	case part != nil && part.fastNodes > 0:
 		return part
-	case e.qElig:
+	case e.ctl.qElig:
 		return e.looseAll
 	default:
 		return e.tightAll
@@ -344,62 +303,19 @@ func (e *engine) run() error {
 	if Q <= 0 {
 		return fmt.Errorf("cluster: policy %q issued non-positive quantum %v", e.policy.Name(), Q)
 	}
-	if e.obs != nil {
-		e.obs.RunStart(obs.RunInfo{
-			Nodes:    e.cfg.Nodes,
-			Policy:   e.policy.Name(),
-			MaxGuest: e.cfg.MaxGuest,
-		})
-	}
-	if e.prof != nil {
-		e.prof.RunStart(prof.RunMeta{
-			Engine:      "deterministic",
-			Nodes:       e.cfg.Nodes,
-			Policy:      e.policy.Name(),
-			Lookahead:   e.eligLat,
-			OutputQueue: e.cfg.Net.Output != nil,
-			LinkLat: func(src, dst int) simtime.Duration {
-				return e.cfg.Net.FrameLatency(netmodel.MinProbe(), src, dst)
-			},
-		})
-	}
+	e.ctl.runStart(e.policy.Name(), e.cfg.MaxGuest, false)
 
 	nodes := e.cfg.Nodes
 	for qi := 0; ; qi++ {
 		e.limit = start.Add(Q)
-		e.npQuantum = 0
-		e.strQuant = 0
 		e.lastEvtH = hostNow
 		e.flights = e.flights[:0]
 		if e.obs != nil {
 			e.obs.QuantumStart(qi, start, Q, hostNow)
 		}
-		e.qElig = e.eligLat > 0 && Q <= e.eligLat
-		if e.qElig {
-			e.nElig++
-		}
-		// The quantum's lookahead partitioning (nil in scalar mode or
-		// without lookahead). The accounting below uses it directly — pure
-		// (Q, lookahead) state, so Stats and the profiler report are the
-		// same under both execution strategies — and the execution
-		// partitioning derives from it.
-		var part *partitioning
-		if e.la != nil {
-			part = e.la.partitionFor(Q)
-		}
-		switch {
-		case e.qElig:
-			e.res.Stats.FastFullQuanta++
-			e.res.Stats.FastNodeQuanta += nodes
-		case part != nil && part.fastNodes > 0:
-			e.res.Stats.FastPartialQuanta++
-			e.res.Stats.FastNodeQuanta += part.fastNodes
-			e.res.Stats.PartialPartitions += part.nparts
-		}
-		if e.prof != nil {
-			e.prof.BeginQuantum(qi, Q, part.grade())
-		}
-
+		// The quantum's lookahead partitioning drives the eligibility
+		// accounting and the execution partitioning derives from it.
+		part := e.ctl.beginQuantum(qi, Q)
 		exec := e.execution(part)
 		if e.cfg.onQuantumMode != nil {
 			e.cfg.onQuantumMode(len(exec.loose) > 0)
@@ -414,7 +330,7 @@ func (e *engine) run() error {
 		}
 		barrierEnd := maxH.
 			Add(e.cfg.Host.BarrierCost).
-			Add(simtime.Duration(e.npQuantum) * e.cfg.Host.PacketHostCost)
+			Add(simtime.Duration(e.ctl.np) * e.cfg.Host.PacketHostCost)
 		e.res.Stats.HostBarrier += barrierEnd.Sub(maxH)
 		if e.prof != nil {
 			// Per-node barrier wait: finishing the quantum until the last
@@ -426,10 +342,10 @@ func (e *engine) run() error {
 			e.profPartitionWaits(part, maxH)
 			e.prof.EndQuantum(prof.QuantumStats{
 				Span:       barrierEnd.Sub(hostNow),
-				Routing:    simtime.Duration(e.npQuantum) * e.cfg.Host.PacketHostCost,
+				Routing:    simtime.Duration(e.ctl.np) * e.cfg.Host.PacketHostCost,
 				Barrier:    e.cfg.Host.BarrierCost,
-				Packets:    e.npQuantum,
-				Stragglers: e.strQuant,
+				Packets:    e.ctl.np,
+				Stragglers: e.ctl.str,
 			})
 		}
 
@@ -446,8 +362,8 @@ func (e *engine) run() error {
 		}
 
 		Q = e.policy.Next(quantum.Feedback{
-			Packets:    e.npQuantum,
-			Stragglers: e.strQuant,
+			Packets:    e.ctl.np,
+			Stragglers: e.ctl.str,
 			Now:        e.limit,
 		})
 		if Q <= 0 {
@@ -470,7 +386,7 @@ func (e *engine) run() error {
 			GuestTime:          e.res.GuestTime,
 			HostEnd:            hostNow,
 			Quanta:             e.res.Stats.Quanta,
-			FastEligibleQuanta: e.nElig,
+			FastEligibleQuanta: e.ctl.nElig,
 		})
 	}
 	if e.prof != nil {
@@ -480,19 +396,19 @@ func (e *engine) run() error {
 }
 
 func (e *engine) recordQuantum(qi int, start simtime.Guest, Q simtime.Duration, hStart, barrierStart, hEnd simtime.Host) {
-	e.res.Stats.observeQuantum(Q, e.npQuantum)
+	e.res.Stats.observeQuantum(Q, e.ctl.np)
 	e.sumQ += float64(Q)
 	if e.cfg.TraceQuanta || e.obs != nil {
 		rec := QuantumRecord{
 			Index:        qi,
 			Start:        start,
 			Q:            Q,
-			Packets:      e.npQuantum,
-			Stragglers:   e.strQuant,
+			Packets:      e.ctl.np,
+			Stragglers:   e.ctl.str,
 			HostStart:    hStart,
 			BarrierStart: barrierStart,
 			HostEnd:      hEnd,
-			FastEligible: e.qElig,
+			FastEligible: e.ctl.qElig,
 		}
 		if e.cfg.TraceQuanta {
 			e.res.Quanta = append(e.res.Quanta, rec)
@@ -631,68 +547,34 @@ func (e *engine) idleTo(i int, target simtime.Guest, h simtime.Host) {
 	e.na.wakeEv[i] = e.q.PushPri(int64(endH), priWake, event{kind: evWake, node: int32(i)})
 }
 
-// sendFrame models the source NIC (transmit queueing + serialization),
-// computes the exact simulated arrival time, and ships the frame to the
-// controller in host time: the frame becomes an interned flight plus, in
-// the event-queue walk, a queued 12-byte event dispatched at its
+// sendFrame hands a frame to the controller: NIC departure, destination
+// fan-out and the exact arrival time per destination, then ships each copy
+// to the controller in host time — an interned flight plus, in the
+// event-queue walk, a queued 12-byte event dispatched at its
 // controller-arrival host time. Frames from a loose node, and frames
 // crossing tight partitions, are deferred to the barrier instead: their
 // destination lies across a loose link, so the arrival time is provably at
 // or past the limit and routing them later is behavior-neutral
 // (DESIGN.md §11).
-func (e *engine) sendFrame(i int, h simtime.Host, tSend simtime.Guest, f *pkt.Frame) {
-	src := i
-	depart := simtime.MaxGuest(tSend, e.na.txFree[i])
-	ser := e.cfg.Net.NIC.Serialization(f)
-	depart = depart.Add(ser)
-	e.na.txFree[i] = depart
-
+func (e *engine) sendFrame(src int, h simtime.Host, tSend simtime.Guest, f *pkt.Frame) {
+	depart := e.ctl.sendFrameDepart(&e.na.txFree[src], f, tSend)
 	arrHost := h.Add(e.cfg.Host.PacketTransit)
-	ship := func(dst int) { //simlint:hotalloc non-escaping closure: called and discarded inside sendFrame, stays on the stack
+	lo, hi, skip := e.ctl.routeFlightFanout(f, src)
+	for dst := lo; dst < hi; dst++ {
+		if dst == skip {
+			continue
+		}
 		fi := int32(len(e.flights))
 		e.flights = append(e.flights, flight{ //simlint:hotalloc flight log grows to the per-quantum high-water mark once; length-reset each quantum
 			f: f, src: int32(src), dst: int32(dst), tSend: tSend,
-			tD: e.arrivalTime(f, src, dst, depart),
+			tD: e.ctl.arrivalTime(f, src, dst, depart),
 		})
 		if p := e.exec; p.fastNode[src] || p.part[dst] != p.part[src] {
 			e.defs[src] = append(e.defs[src], routed{h: arrHost, fi: fi}) //simlint:hotalloc deferred-flight lane grows to its watermark once; routeBatch length-resets it
-			return
+			continue
 		}
 		e.q.PushPri(int64(arrHost), priFrame, event{kind: evFrame, fi: fi})
 	}
-	if f.Dst.IsBroadcast() {
-		for dst := 0; dst < e.cfg.Nodes; dst++ {
-			if dst != src {
-				ship(dst)
-			}
-		}
-		return
-	}
-	dst := f.Dst.Node()
-	if dst < 0 || dst >= e.cfg.Nodes {
-		// A frame to an unknown MAC: the switch floods it nowhere (no
-		// other ports in this cluster). Count it as routed traffic.
-		e.npQuantum++
-		e.res.Stats.Packets++
-		return
-	}
-	ship(dst)
-}
-
-// arrivalTime computes the exact simulated arrival of a frame that left its
-// source NIC at guest time depart, including switch output-port contention
-// when the network models it. Contention state is updated in the order the
-// controller observes the frames — exactly what the paper's centralized
-// network timing module would do.
-func (e *engine) arrivalTime(f *pkt.Frame, src, dst int, depart simtime.Guest) simtime.Guest {
-	out := e.cfg.Net.Output
-	if out == nil {
-		return depart.Add(e.cfg.Net.PostTxLatency(f, src, dst))
-	}
-	atPort := depart.Add(e.cfg.Net.PreQueueLatency(f, src, dst))
-	start := simtime.MaxGuest(atPort, e.portFree[dst])
-	e.portFree[dst] = start.Add(out.Serialization(f))
-	return e.portFree[dst].Add(e.cfg.Net.PostQueueLatency(f))
 }
 
 // hostCost is the host.Model cost scaled by the node's fault-plan slowdown
@@ -725,125 +607,41 @@ func (e *engine) guestPos(i int, h simtime.Host) simtime.Guest {
 	return e.hm.GuestAt(i, e.na.segStartG[i], elapsed, e.na.segMode[i], e.na.segEndG[i])
 }
 
-// routeFlight is the controller receiving one flight at host time h: it
-// counts the frame toward the quantum's traffic (drops included, so
-// Algorithm 1's np==0 test still sees lost traffic), applies
-// loss/duplication/jitter faults, and delivers the surviving copies per the
-// paper's three cases. Every path funnels through here — the classic event
-// queue dispatches it at the flight's controller-arrival host time, the
-// batched barrier router calls it in canonical order — so fault outcomes,
-// which are pure per-frame functions, cannot differ between paths.
+// routeFlight is the controller receiving one flight at host time h: the
+// controller kernel counts it, applies the fault plan and returns the
+// surviving copies, which are delivered original first. Every path funnels
+// through here — the event queue dispatches it at the flight's
+// controller-arrival host time, the batched barrier router calls it in
+// canonical order.
 func (e *engine) routeFlight(h simtime.Host, fi int32) {
-	fl := e.flights[fi]
-	e.npQuantum++
-	e.res.Stats.Packets++
 	if h > e.lastEvtH {
 		e.lastEvtH = h
 	}
-	if e.prof != nil {
-		// Slack accounting uses the ideal (pre-fault) arrival: fl.tD is not
-		// yet jittered here, and every engine path routes the same flights
-		// with the same (tSend, tD), so the per-link accumulators — which
-		// are order-independent — match across paths exactly.
-		e.prof.Frame(int(fl.src), int(fl.dst), fl.tD.Sub(fl.tSend))
+	fl := e.flights[fi]
+	n, tD, dupTD := e.ctl.routeFlight(fl)
+	if n > 0 {
+		e.deliver(h, fl, tD, false)
 	}
-	if e.cfg.LossRate > 0 &&
-		rng.HashFloat01(e.cfg.LossSeed, fl.f.ID, uint64(fl.dst)) < e.cfg.LossRate {
-		e.res.Stats.Dropped++
-		return
-	}
-	if fp := e.cfg.Faults; fp != nil {
-		d := fp.Decide(fl.f.ID, int(fl.src), int(fl.dst), fl.tSend)
-		if d.Drop {
-			e.res.Stats.Dropped++
-			if e.cfg.TracePackets || e.obs != nil {
-				e.emitPacket(PacketRecord{
-					SendGuest: fl.tSend, Ideal: fl.tD,
-					Src: int(fl.src), Dst: int(fl.dst), Size: fl.f.Size,
-					Dropped: true,
-				})
-			}
-			return
-		}
-		// Injected delay only ever increases the arrival time, so the fast
-		// path's safety bound (tD >= limit under Q <= T) is preserved.
-		base := fl.tD
-		if d.Delay > 0 {
-			fl.tD = base.Add(d.Delay)
-		}
-		if d.Dup {
-			e.res.Stats.Duplicated++
-			dup := fl
-			dup.tD = base.Add(d.DupDelay)
-			e.deliver(h, fl, false)
-			e.deliver(h, dup, true)
-			return
-		}
-	}
-	e.deliver(h, fl, false)
-}
-
-// emitPacket routes one packet record to the trace slice and the observer.
-func (e *engine) emitPacket(rec PacketRecord) {
-	if e.cfg.TracePackets {
-		e.res.Packets = append(e.res.Packets, rec) //simlint:hotalloc packet tracing is opt-in diagnostics; the trace slice is the product, not scratch
-	}
-	if e.obs != nil {
-		e.obs.Packet(rec)
+	if n > 1 {
+		e.deliver(h, fl, dupTD, true)
 	}
 }
 
-// deliver classifies one frame copy against the destination's progress and
-// hands it to the node — the tail of the paper's controller logic, shared by
-// the original and any fault-injected duplicate so each copy counts
-// independently in the straggler statistics. Under the batched barrier
-// router (e.batching) the copy is recorded for the per-destination delivery
-// pass instead of being pushed immediately; every destination is at the
-// barrier then, so the idle-wake adjustments below are provably dead in
-// that mode.
-func (e *engine) deliver(h simtime.Host, fl flight, dupCopy bool) {
-	e.res.Stats.Deliveries++
-
+// deliver classifies one copy of fl arriving ideally at tD against the
+// destination's progress (the controller's classify: a node at the limit
+// is at the barrier, any other is at its interpolated guest position) and
+// hands it to the node. Under the batched barrier router (e.batching) the
+// copy is recorded for the per-destination delivery pass instead of being
+// pushed immediately; every destination is at the barrier then, so the
+// idle-wake adjustments below are provably dead in that mode.
+func (e *engine) deliver(h simtime.Host, fl flight, tD simtime.Guest, dupCopy bool) {
 	dst := int(fl.dst)
-	var arr simtime.Guest
-	straggler, snapped := false, false
-
-	if e.na.phase[dst] == phAtLimit {
-		// Paper Figure 3(d): the destination already finished its quantum.
-		if fl.tD < e.limit {
-			arr = e.limit // snaps to the next quantum boundary
-			straggler, snapped = true, true
-		} else {
-			arr = fl.tD // at or after the boundary: still exact
-		}
-	} else {
-		g := e.guestPos(dst, h)
-		if fl.tD >= g {
-			arr = fl.tD // exact delivery (paper case 2)
-		} else {
-			arr = g // straggler: deliver immediately (paper case 3)
-			straggler = true
-		}
+	atLimit := e.na.phase[dst] == phAtLimit
+	var pos simtime.Guest
+	if !atLimit {
+		pos = e.guestPos(dst, h)
 	}
-
-	st := &e.res.Stats
-	if straggler {
-		st.Stragglers++
-		e.strQuant++
-		st.StragglerDelay += arr.Sub(fl.tD)
-		if snapped {
-			st.QuantumSnaps++
-		}
-	} else {
-		st.Exact++
-	}
-	if e.cfg.TracePackets || e.obs != nil {
-		e.emitPacket(PacketRecord{
-			SendGuest: fl.tSend, Ideal: fl.tD, Arrival: arr,
-			Src: int(fl.src), Dst: dst, Size: fl.f.Size,
-			Straggler: straggler, Snapped: snapped, Duplicate: dupCopy,
-		})
-	}
+	arr, straggler := e.ctl.deliverCopy(fl, tD, e.limit, atLimit, pos, dupCopy)
 
 	if e.batching {
 		e.pend = append(e.pend, pendDeliv{dst: fl.dst, f: fl.f, arr: arr}) //simlint:hotalloc pending-delivery buffer grows to its watermark once; length-reset each quantum

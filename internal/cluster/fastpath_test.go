@@ -36,15 +36,14 @@ func (r *recorder) NodePhase(node int, ph obs.Phase, g0, g1 simtime.Guest, h0, h
 
 // fastCases spans the behaviors the fast path must preserve: lockstep
 // traffic with equal-arrival ties (PingPong at 2 and 4 nodes), bursty
-// compute/communicate phases, seeded irregular traffic, silence, loss
-// injection, and an adaptive policy that moves in and out of the safe
+// compute/communicate phases, seeded irregular traffic, silence, fault-plan
+// loss, and an adaptive policy that moves in and out of the safe
 // window mid-run.
 type fastCase struct {
 	name   string
 	nodes  int
 	w      workloads.Workload
 	pol    func() quantum.Policy
-	loss   float64
 	faults *faults.Plan
 	// net overrides the default uniform paper fabric — non-uniform
 	// topologies exercise the partitioned (graded) fast path whenever Q
@@ -60,7 +59,8 @@ func fastCases() []fastCase {
 		{name: "phases-adaptive-5", nodes: 5, w: workloads.Phases(3, 150*simtime.Microsecond, 16<<10),
 			pol: adaptive(simtime.Microsecond, simtime.Millisecond, 1.03, 0.02)},
 		{name: "uniform-3", nodes: 3, w: workloads.Uniform(60, 2000, 30*simtime.Microsecond, 11), pol: fixed(simtime.Microsecond)},
-		{name: "uniform-lossy-4", nodes: 4, w: workloads.Uniform(60, 1500, 20*simtime.Microsecond, 23), pol: fixed(simtime.Microsecond), loss: 0.3},
+		{name: "uniform-lossy-4", nodes: 4, w: workloads.Uniform(60, 1500, 20*simtime.Microsecond, 23), pol: fixed(simtime.Microsecond),
+			faults: &faults.Plan{Seed: 42, Default: faults.Link{Loss: 0.3}}},
 		{name: "silent-4", nodes: 4, w: workloads.Silent(300 * simtime.Microsecond), pol: fixed(simtime.Microsecond)},
 		// A fault plan exercising loss, duplication, and delay jitter through
 		// both engines: fault decisions are pure per-frame functions, so they
@@ -131,8 +131,6 @@ func runFast(t *testing.T, c fastCase, st strategy) (*Result, *recorder) {
 	}
 	cfg.TraceQuanta = true
 	cfg.TracePackets = true
-	cfg.LossRate = c.loss
-	cfg.LossSeed = 42
 	cfg.Faults = c.faults
 	cfg.Observer = rec
 	res, err := st.run(cfg)

@@ -193,13 +193,12 @@ func TestFastPathBoundMatchesMinLatency(t *testing.T) {
 			cfg := testConfig(4, workloads.Silent(10*simtime.Microsecond), fixed(simtime.Microsecond))
 			cfg.Net = m
 			cfg.Lookahead = mode
-			e := &engine{cfg: cfg}
-			e.initLookahead()
-			if want := m.MinLatency(cfg.Nodes); e.eligLat != want {
-				t.Errorf("%s/mode=%d: fast-path bound %v != MinLatency %v", name, mode, e.eligLat, want)
+			c := newController(cfg.Net, nil, cfg.Nodes, mode, &Stats{})
+			if want := m.MinLatency(cfg.Nodes); c.eligLat != want {
+				t.Errorf("%s/mode=%d: fast-path bound %v != MinLatency %v", name, mode, c.eligLat, want)
 			}
-			if wantLA := mode == LookaheadMatrix; (e.la != nil) != wantLA {
-				t.Errorf("%s/mode=%d: lookahead matrix present = %v, want %v", name, mode, e.la != nil, wantLA)
+			if wantLA := mode == LookaheadMatrix; (c.la != nil) != wantLA {
+				t.Errorf("%s/mode=%d: lookahead matrix present = %v, want %v", name, mode, c.la != nil, wantLA)
 			}
 		}
 	}
@@ -209,10 +208,9 @@ func TestFastPathBoundMatchesMinLatency(t *testing.T) {
 	out.Output = &netmodel.OutputQueue{}
 	cfg := testConfig(4, workloads.Silent(10*simtime.Microsecond), fixed(simtime.Microsecond))
 	cfg.Net = out
-	e := &engine{cfg: cfg}
-	e.initLookahead()
-	if e.eligLat != 0 || e.la != nil {
-		t.Errorf("OutputQueue model engaged the fast path with bound %v (la=%v)", e.eligLat, e.la != nil)
+	c := newController(cfg.Net, nil, cfg.Nodes, LookaheadMatrix, &Stats{})
+	if c.eligLat != 0 || c.la != nil {
+		t.Errorf("OutputQueue model engaged the fast path with bound %v (la=%v)", c.eligLat, c.la != nil)
 	}
 }
 

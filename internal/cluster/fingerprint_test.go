@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"clustersim/internal/faults"
 	"clustersim/internal/simtime"
 	"clustersim/internal/workloads"
 )
@@ -96,8 +97,7 @@ func TestCanonicalResultHeader(t *testing.T) {
 func TestSortPacketsCanonicalIsTotal(t *testing.T) {
 	cfg := testConfig(4, workloads.Uniform(60, 1500, 20*simtime.Microsecond, 23), fixed(simtime.Microsecond))
 	cfg.TracePackets = true
-	cfg.LossRate = 0.3
-	cfg.LossSeed = 42
+	cfg.Faults = &faults.Plan{Seed: 42, Default: faults.Link{Loss: 0.3}}
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)

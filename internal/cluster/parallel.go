@@ -47,8 +47,8 @@ type ParallelConfig struct {
 	Observer obs.Observer
 	// Faults injects per-link loss/duplication/jitter at the controller and
 	// scales per-node spin by the plan's slowdown factors. Frame-level
-	// decisions are the same pure functions the deterministic engine uses,
-	// but wall-clock scheduling still varies run to run. Nil injects
+	// decisions come from the controller kernel the deterministic engine
+	// uses, but wall-clock scheduling still varies run to run. Nil injects
 	// nothing.
 	Faults *faults.Plan
 	// Profiler accumulates the sync-overhead attribution profile of the
@@ -140,14 +140,9 @@ type prun struct {
 	cfg  ParallelConfig
 	obs  obs.Observer
 	prof *prof.Profiler
-	// eligLat mirrors the deterministic engine's fast-path eligibility
-	// lookahead so parallel runs report the same per-quantum causes; la is
-	// the per-link lookahead structure behind it (nil under LookaheadScalar
-	// or an output-queued switch).
-	eligLat simtime.Duration
-	la      *lookahead
-	qElig   bool
-	nElig   int
+	// ctl is the network controller shared with the deterministic engine;
+	// guarded by mu.
+	ctl *controller
 	// startWall is the epoch for hook host times; set before any goroutine
 	// can fire a hook.
 	startWall time.Time
@@ -159,15 +154,12 @@ type prun struct {
 	// costs one spurious re-check, never a missed release.
 	barrier chan struct{}
 
-	nodes    []*pnode
-	portFree []simtime.Guest // per-destination switch port clocks (OutputQueue)
-	gen      int             // quantum generation counter
-	stop     bool            // shutdown flag
-	limit    simtime.Guest
-	atLimit  int // nodes parked, at-limit or done this quantum
-	done     int
-	np       int // frames routed this quantum
-	str      int // stragglers this quantum
+	nodes   []*pnode
+	gen     int  // quantum generation counter
+	stop    bool // shutdown flag
+	limit   simtime.Guest
+	atLimit int // nodes parked, at-limit or done this quantum
+	done    int
 	// firstArr is the host time of this quantum's first barrier arrival;
 	// haveArr gates it. The span from firstArr to the barrier release is the
 	// real synchronization wait charged to Stats.HostBarrier.
@@ -200,15 +192,12 @@ func RunParallel(cfg ParallelConfig) (*ParallelResult, error) {
 	if err := cfg.Faults.Validate(); err != nil {
 		return nil, err
 	}
-	r := &prun{cfg: cfg, obs: cfg.Observer, prof: cfg.Profiler, barrier: make(chan struct{}, 1)}
-	r.portFree = make([]simtime.Guest, cfg.Nodes)
-	if cfg.Net.Output == nil {
-		if cfg.Lookahead == LookaheadScalar {
-			r.eligLat = cfg.Net.MinLatency(cfg.Nodes)
-		} else if r.la = newLookahead(cfg.Net, cfg.Nodes); r.la != nil {
-			r.eligLat = r.la.min
-		}
+	if err := cfg.Faults.ValidateNodes(cfg.Nodes); err != nil {
+		return nil, err
 	}
+	r := &prun{cfg: cfg, obs: cfg.Observer, prof: cfg.Profiler, barrier: make(chan struct{}, 1)}
+	r.ctl = newController(cfg.Net, cfg.Faults, cfg.Nodes, cfg.Lookahead, &r.stats)
+	r.ctl.obs, r.ctl.prof = cfg.Observer, cfg.Profiler
 	for i := 0; i < cfg.Nodes; i++ {
 		spinPer := cfg.SpinPerGuestBusy
 		if cfg.Faults != nil {
@@ -226,26 +215,7 @@ func RunParallel(cfg ParallelConfig) (*ParallelResult, error) {
 	}
 	policy := cfg.Policy()
 	r.startWall = time.Now() //simlint:wallclock the real-time runner measures actual wall time by design; the deterministic engine models it instead
-	if r.obs != nil {
-		r.obs.RunStart(obs.RunInfo{
-			Nodes:    cfg.Nodes,
-			Policy:   policy.Name(),
-			Parallel: true,
-			MaxGuest: cfg.MaxGuest,
-		})
-	}
-	if r.prof != nil {
-		r.prof.RunStart(prof.RunMeta{
-			Engine:      "parallel",
-			Nodes:       cfg.Nodes,
-			Policy:      policy.Name(),
-			Lookahead:   r.eligLat,
-			OutputQueue: cfg.Net.Output != nil,
-			LinkLat: func(src, dst int) simtime.Duration {
-				return cfg.Net.FrameLatency(netmodel.MinProbe(), src, dst)
-			},
-		})
-	}
+	r.ctl.runStart(policy.Name(), cfg.MaxGuest, true)
 
 	var wg sync.WaitGroup
 	for _, pn := range r.nodes {
@@ -271,7 +241,6 @@ func RunParallel(cfg ParallelConfig) (*ParallelResult, error) {
 			}
 			r.mu.Lock()
 			r.limit = guestStart.Add(Q)
-			r.np, r.str = 0, 0
 			// Nodes that finished in earlier quanta stand permanently at the
 			// barrier; pre-counting them keeps the arrival count consistent
 			// however unevenly the workloads drain.
@@ -293,27 +262,10 @@ func RunParallel(cfg ParallelConfig) (*ParallelResult, error) {
 			if r.obs != nil {
 				r.obs.QuantumStart(qi, guestStart, Q, qStartH)
 			}
-			r.qElig = r.eligLat > 0 && Q <= r.eligLat
-			if r.qElig {
-				r.nElig++
-			}
-			r.part = nil
-			if r.la != nil {
-				r.part = r.la.partitionFor(Q)
-			}
 			// Graded-engagement accounting, identical to the deterministic
 			// engine's: eligibility is a function of (Q, matrix) alone.
-			switch {
-			case r.qElig:
-				r.stats.FastFullQuanta++
-				r.stats.FastNodeQuanta += cfg.Nodes
-			case r.part != nil && r.part.fastNodes > 0:
-				r.stats.FastPartialQuanta++
-				r.stats.FastNodeQuanta += r.part.fastNodes
-				r.stats.PartialPartitions += r.part.nparts
-			}
+			r.part = r.ctl.beginQuantum(qi, Q)
 			if r.prof != nil {
-				r.prof.BeginQuantum(qi, Q, r.part.grade())
 				// Nodes already done stand at the barrier for the whole
 				// quantum; everyone else overwrites this on arrival.
 				for _, pn := range r.nodes {
@@ -371,7 +323,7 @@ func RunParallel(cfg ParallelConfig) (*ParallelResult, error) {
 			}
 			r.recordQuantum(qi, guestStart, Q, qStartH)
 			allDone := r.done == len(r.nodes)
-			np, str := r.np, r.str
+			np, str := r.ctl.np, r.ctl.str
 			r.mu.Unlock()
 			guestStart = r.limit
 			if allDone {
@@ -420,7 +372,7 @@ func RunParallel(cfg ParallelConfig) (*ParallelResult, error) {
 			GuestTime:          res.GuestTime,
 			HostEnd:            r.hostNow(),
 			Quanta:             res.Stats.Quanta,
-			FastEligibleQuanta: r.nElig,
+			FastEligibleQuanta: r.ctl.nElig,
 		})
 	}
 	if r.prof != nil {
@@ -477,7 +429,7 @@ func (r *prun) hostNow() simtime.Host {
 }
 
 func (r *prun) recordQuantum(qi int, start simtime.Guest, Q simtime.Duration, qStartH simtime.Host) {
-	r.stats.observeQuantum(Q, r.np)
+	r.stats.observeQuantum(Q, r.ctl.np)
 	r.sumQ += float64(Q)
 	end := r.hostNow()
 	// The barrier span runs from the first arrival to the release that is
@@ -508,8 +460,8 @@ func (r *prun) recordQuantum(qi int, start simtime.Guest, Q simtime.Duration, qS
 		r.prof.EndQuantum(prof.QuantumStats{
 			Span:       end.Sub(qStartH),
 			Barrier:    end.Sub(bStart),
-			Packets:    r.np,
-			Stragglers: r.str,
+			Packets:    r.ctl.np,
+			Stragglers: r.ctl.str,
 		})
 	}
 	if r.obs != nil {
@@ -517,12 +469,12 @@ func (r *prun) recordQuantum(qi int, start simtime.Guest, Q simtime.Duration, qS
 			Index:        qi,
 			Start:        start,
 			Q:            Q,
-			Packets:      r.np,
-			Stragglers:   r.str,
+			Packets:      r.ctl.np,
+			Stragglers:   r.ctl.str,
 			HostStart:    qStartH,
 			BarrierStart: bStart,
 			HostEnd:      end,
-			FastEligible: r.qElig,
+			FastEligible: r.ctl.qElig,
 		})
 	}
 }
@@ -629,120 +581,45 @@ func (r *prun) park(pn *pnode, gen int) bool {
 	return ok
 }
 
-// route is the controller: it computes the frame's exact arrival time and
-// delivers per the paper's cases, with the destination's live clock deciding
-// stragglerhood — the real race the deterministic engine models.
+// route hands a frame to the controller kernel — the same link physics,
+// fault decision and classification the deterministic engine uses — with
+// the destination's live state deciding stragglerhood: the real race the
+// deterministic engine models.
 func (r *prun) route(pn *pnode, f *pkt.Frame, tSend simtime.Guest) {
-	ser := r.cfg.Net.NIC.Serialization(f)
-	depart := simtime.MaxGuest(tSend, pn.txFree).Add(ser)
-	pn.txFree = depart
+	src := pn.n.ID()
+	depart := r.ctl.sendFrameDepart(&pn.txFree, f, tSend)
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
-
-	deliver := func(dst int) {
-		dn := r.nodes[dst]
-		var tD simtime.Guest
-		if out := r.cfg.Net.Output; out != nil {
-			atPort := depart.Add(r.cfg.Net.PreQueueLatency(f, pn.n.ID(), dst))
-			start := simtime.MaxGuest(atPort, r.portFree[dst])
-			r.portFree[dst] = start.Add(out.Serialization(f))
-			tD = r.portFree[dst].Add(r.cfg.Net.PostQueueLatency(f))
-		} else {
-			tD = depart.Add(r.cfg.Net.PostTxLatency(f, pn.n.ID(), dst))
+	lo, hi, skip := r.ctl.routeFlightFanout(f, src)
+	for dst := lo; dst < hi; dst++ {
+		if dst == skip {
+			continue
 		}
-		r.np++
-		r.stats.Packets++
-		if r.prof != nil {
-			// tD is still the ideal (pre-fault) arrival here, matching the
-			// deterministic engine's slack accounting.
-			r.prof.Frame(pn.n.ID(), dst, tD.Sub(tSend))
+		fl := flight{f: f, src: int32(src), dst: int32(dst), tSend: tSend, tD: r.ctl.arrivalTime(f, src, dst, depart)}
+		n, tD, dupTD := r.ctl.routeFlight(fl)
+		if n > 0 {
+			r.deliver(fl, tD, false)
 		}
-		if fp := r.cfg.Faults; fp != nil {
-			d := fp.Decide(f.ID, pn.n.ID(), dst, tSend)
-			if d.Drop {
-				r.stats.Dropped++
-				if r.obs != nil {
-					r.obs.Packet(obs.PacketRecord{
-						SendGuest: tSend, Ideal: tD,
-						Src: pn.n.ID(), Dst: dst, Size: f.Size,
-						Dropped: true,
-					})
-				}
-				return
-			}
-			base := tD
-			tD = base.Add(d.Delay)
-			if d.Dup {
-				r.stats.Duplicated++
-				r.deliverCopy(pn.n.ID(), dn, f, tSend, tD, false)
-				r.deliverCopy(pn.n.ID(), dn, f, tSend, base.Add(d.DupDelay), true)
-				return
-			}
+		if n > 1 {
+			r.deliver(fl, dupTD, true)
 		}
-		r.deliverCopy(pn.n.ID(), dn, f, tSend, tD, false)
 	}
-
-	if f.Dst.IsBroadcast() {
-		for dst := range r.nodes {
-			if dst != pn.n.ID() {
-				deliver(dst)
-			}
-		}
-		return
-	}
-	dst := f.Dst.Node()
-	if dst < 0 || dst >= len(r.nodes) {
-		r.np++
-		r.stats.Packets++
-		return
-	}
-	deliver(dst)
 }
 
-// deliverCopy classifies one frame copy against the destination's live state
-// and delivers it — shared by the normal path and fault-injected duplicates
-// so each copy counts independently in the straggler statistics. The caller
-// holds r.mu.
-func (r *prun) deliverCopy(src int, dn *pnode, f *pkt.Frame, tSend, tD simtime.Guest, dupCopy bool) {
-	r.stats.Deliveries++
-	var arr simtime.Guest
-	straggler, snapped := false, false
-	switch dn.state {
-	case pnAtLimit, pnDone, pnParked:
-		if tD < r.limit {
-			arr = r.limit
-			straggler, snapped = true, true
-		} else {
-			arr = tD
-		}
-	default: // running
-		g := dn.n.Clock()
-		if tD >= g {
-			arr = tD
-		} else {
-			arr = g
-			straggler = true
-		}
+// deliver classifies one copy of fl arriving ideally at tD against the
+// destination's live state — parked, at-limit and done nodes are at the
+// barrier, a running node at its live clock — and hands it over. The
+// caller holds r.mu.
+func (r *prun) deliver(fl flight, tD simtime.Guest, dupCopy bool) {
+	dn := r.nodes[fl.dst]
+	atBarrier := dn.state != pnRunning
+	var pos simtime.Guest
+	if !atBarrier {
+		pos = dn.n.Clock()
 	}
-	if straggler {
-		r.stats.Stragglers++
-		r.str++
-		r.stats.StragglerDelay += arr.Sub(tD)
-		if snapped {
-			r.stats.QuantumSnaps++
-		}
-	} else {
-		r.stats.Exact++
-	}
-	if r.obs != nil {
-		r.obs.Packet(obs.PacketRecord{
-			SendGuest: tSend, Ideal: tD, Arrival: arr,
-			Src: src, Dst: dn.n.ID(), Size: f.Size,
-			Straggler: straggler, Snapped: snapped, Duplicate: dupCopy,
-		})
-	}
-	dn.n.Deliver(f, arr)
+	arr, _ := r.ctl.deliverCopy(fl, tD, r.limit, atBarrier, pos, dupCopy)
+	dn.n.Deliver(fl.f, arr)
 	// A parked destination that can now make progress is re-woken —
 	// point-to-point, leaving every other node undisturbed.
 	if dn.state == pnParked && arr <= r.limit {
@@ -751,7 +628,7 @@ func (r *prun) deliverCopy(src int, dn *pnode, f *pkt.Frame, tSend, tD simtime.G
 		if r.prof != nil && r.part != nil {
 			// The destination's partition has a member running again; its
 			// next full arrival re-stamps the completion time.
-			r.partLeft[r.part.part[dn.n.ID()]]++
+			r.partLeft[r.part.part[fl.dst]]++
 		}
 		wakeNode(dn)
 	}

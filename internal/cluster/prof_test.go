@@ -58,8 +58,6 @@ func TestProfilerReconciliation(t *testing.T) {
 				if c.net != nil {
 					cfg.Net = c.net
 				}
-				cfg.LossRate = c.loss
-				cfg.LossSeed = 42
 				cfg.Faults = c.faults
 				cfg.Profiler = p
 				res, err := st.run(cfg)

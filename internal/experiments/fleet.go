@@ -176,6 +176,9 @@ func (sc *Scenario) config() (*scenarioConfig, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := plan.ValidateNodes(sc.Nodes); err != nil {
+		return nil, err
+	}
 	lookahead, err := ParseLookahead(sc.Lookahead)
 	if err != nil {
 		return nil, err

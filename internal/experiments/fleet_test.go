@@ -52,6 +52,8 @@ func TestParseManifestValidation(t *testing.T) {
 		{"negative wan latency", `{"schema": "clustersim-fleet-manifest/1", "scenarios": [{"name": "a", "workload": "pingpong", "nodes": 2, "topo": "mixedwan:4:500ns:-50us"}]}`, "wan latency"},
 		{"bad lookahead", `{"schema": "clustersim-fleet-manifest/1", "scenarios": [{"name": "a", "workload": "pingpong", "nodes": 2, "lookahead": "psychic"}]}`, "lookahead"},
 		{"bad faults", `{"schema": "clustersim-fleet-manifest/1", "scenarios": [{"name": "a", "workload": "pingpong", "nodes": 2, "faults": "chaos=1"}]}`, "chaos"},
+		{"faults slowdown node past the cluster", `{"schema": "clustersim-fleet-manifest/1", "scenarios": [{"name": "a", "workload": "pingpong", "nodes": 2, "faults": "slow=2:2"}]}`, "slowdown node 2 outside the 2-node cluster"},
+		{"faults negative slowdown node", `{"schema": "clustersim-fleet-manifest/1", "scenarios": [{"name": "a", "workload": "pingpong", "nodes": 2, "faults": "slow=-1:2"}]}`, "slowdown node -1 outside"},
 		{"retired workers field", `{"schema": "clustersim-fleet-manifest/1", "scenarios": [{"name": "a", "workload": "pingpong", "nodes": 2, "workers": [0]}]}`, "workers"},
 		{"unknown field", `{"schema": "clustersim-fleet-manifest/1", "scenarios": [{"name": "a", "workload": "pingpong", "nodes": 2, "qantum": "1us"}]}`, "qantum"},
 	}

@@ -202,6 +202,28 @@ func (p *Plan) Validate() error {
 	return nil
 }
 
+// ValidateNodes checks that every node the plan names — each Links
+// endpoint and each NodeSlowdown key — lies in [0, nodes): a fault aimed
+// at a node outside the cluster would otherwise be accepted and never fire.
+// A nil plan is valid.
+func (p *Plan) ValidateNodes(nodes int) error {
+	if p == nil {
+		return nil
+	}
+	in := func(n int) bool { return n >= 0 && n < nodes }
+	for _, k := range sortedLinkKeys(p.Links) {
+		if !in(k.Src) || !in(k.Dst) {
+			return fmt.Errorf("faults: link %d->%d outside the %d-node cluster", k.Src, k.Dst, nodes)
+		}
+	}
+	for _, n := range sortedSlowdownNodes(p.NodeSlowdown) {
+		if !in(n) {
+			return fmt.Errorf("faults: slowdown node %d outside the %d-node cluster", n, nodes)
+		}
+	}
+	return nil
+}
+
 // sortedLinkKeys returns the plan's link keys in (src, dst) order.
 func sortedLinkKeys(links map[LinkKey]Link) []LinkKey {
 	lks := make([]LinkKey, 0, len(links))

@@ -276,3 +276,27 @@ func TestValidateErrorDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// ValidateNodes rejects every node id the plan names outside the cluster —
+// link endpoints and slowdown keys — and accepts a nil plan.
+func TestValidateNodes(t *testing.T) {
+	var nilPlan *Plan
+	if err := nilPlan.ValidateNodes(4); err != nil {
+		t.Errorf("nil plan: %v", err)
+	}
+	ok := &Plan{Links: map[LinkKey]Link{{0, 3}: {Loss: 0.1}}, NodeSlowdown: map[int]float64{3: 2}}
+	if err := ok.ValidateNodes(4); err != nil {
+		t.Errorf("in-range plan: %v", err)
+	}
+	bad := map[string]*Plan{
+		"link src past the cluster": {Links: map[LinkKey]Link{{4, 0}: {}}},
+		"negative link dst":         {Links: map[LinkKey]Link{{0, -1}: {}}},
+		"slowdown past the cluster": {NodeSlowdown: map[int]float64{99: 2}},
+		"negative slowdown node":    {NodeSlowdown: map[int]float64{-1: 2}},
+	}
+	for name, p := range bad {
+		if err := p.ValidateNodes(4); err == nil || !strings.Contains(err.Error(), "outside the 4-node cluster") {
+			t.Errorf("%s: got %v, want an out-of-cluster error", name, err)
+		}
+	}
+}

@@ -435,18 +435,23 @@ type poisonError struct{}
 
 func (poisonError) Error() string { return "guest: node shut down" }
 
-// Shutdown unwinds and terminates a still-running workload coroutine: the
-// coroutine's pending yield returns false, call panics with the poison
-// sentinel, and the coroutine body runs to completion before stop returns.
-// Safe to call on finished or never-started nodes.
+// Shutdown terminates the node's workload coroutine. A still-running
+// workload is unwound: the coroutine's pending yield returns false, call
+// panics with the poison sentinel, and the coroutine body runs to
+// completion before stop returns. A finished workload's coroutine is parked
+// at its final yield and is released the same way, leaving doneErr and
+// finishedAt as the workload left them. Safe to call on never-started
+// nodes and more than once.
 func (n *Node) Shutdown() {
-	if !n.started || n.done {
+	if !n.started {
 		return
 	}
 	n.stop()
+	if n.done {
+		return
+	}
 	// The coroutine body has run to completion under stop and recorded the
-	// workload's error (the poison sentinel, unless the program had already
-	// finished on its own) in doneErr before its final yield.
+	// poison sentinel in doneErr before its final yield.
 	n.done = true
 	n.finishedAt = n.clock.load()
 }

@@ -20,9 +20,14 @@ import (
 	"clustersim/internal/simtime"
 )
 
-// runLossy executes programs under frame loss.
+// runLossy executes programs under fault-plan frame loss on every link
+// (lossRate zero runs a perfect network).
 func runLossy(t *testing.T, lossRate float64, lossSeed uint64, q simtime.Duration, progs ...guest.Program) *cluster.Result {
 	t.Helper()
+	var plan *faults.Plan
+	if lossRate > 0 {
+		plan = &faults.Plan{Seed: lossSeed, Default: faults.Link{Loss: lossRate}}
+	}
 	res, err := cluster.Run(cluster.Config{
 		Nodes:    len(progs),
 		Guest:    guest.DefaultConfig(),
@@ -31,8 +36,7 @@ func runLossy(t *testing.T, lossRate float64, lossSeed uint64, q simtime.Duratio
 		Policy:   func() quantum.Policy { return quantum.Fixed{Q: q} },
 		Program:  func(rank, size int) guest.Program { return progs[rank] },
 		MaxGuest: simtime.Guest(60 * simtime.Second),
-		LossRate: lossRate,
-		LossSeed: lossSeed,
+		Faults:   plan,
 	})
 	if err != nil {
 		t.Fatal(err)
