@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -70,9 +71,12 @@ func parseContention(spec string) (*netmodel.OutputQueue, error) {
 	if len(parts) != 2 {
 		return nil, fmt.Errorf("-contention wants <bytes/s>:<latency>, got %q", spec)
 	}
+	// The library reads a zero rate as infinite, which would make the flag
+	// a no-op that still disables the fast path; a NaN or infinite rate
+	// corrupts every arrival time.
 	bps, err := strconv.ParseFloat(parts[0], 64)
-	if err != nil || bps < 0 {
-		return nil, fmt.Errorf("-contention bytes/s %q: want a non-negative number", parts[0])
+	if err != nil || !(bps > 0) || math.IsInf(bps, 1) {
+		return nil, fmt.Errorf("-contention bytes/s %q: want a positive finite number", parts[0])
 	}
 	lat, err := simtime.ParseDuration(parts[1])
 	if err != nil {

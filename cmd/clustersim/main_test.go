@@ -74,7 +74,20 @@ func TestCLIFlagErrors(t *testing.T) {
 		{"faults negative slowdown node", []string{"-nodes", "4", "-faults", "slow=-1:2"}, "slowdown node -1 outside the 4-node cluster"},
 		{"faults slowdown node past the parallel cluster", []string{"-nodes", "4", "-parallel", "-faults", "slow=4:2"}, "slowdown node 4 outside the 4-node cluster"},
 		{"contention missing latency", []string{"-contention", "10e9"}, "-contention wants <bytes/s>:<latency>"},
-		{"contention negative rate", []string{"-contention", "-1:500ns"}, "non-negative"},
+		{"contention negative rate", []string{"-contention", "-1:500ns"}, "want a positive finite number"},
+		{"contention zero rate", []string{"-workload", "pingpong", "-nodes", "2", "-contention", "0:1us"}, "want a positive finite number"},
+		{"contention NaN rate", []string{"-workload", "pingpong", "-nodes", "2", "-contention", "NaN:500ns"}, "want a positive finite number"},
+		{"contention infinite rate", []string{"-workload", "pingpong", "-nodes", "2", "-contention", "Inf:500ns"}, "want a positive finite number"},
+		{"contention negative latency", []string{"-workload", "pingpong", "-nodes", "2", "-contention", "10e9:-1us"}, "output-queue latency -1µs must not be negative"},
+		{"contention negative latency parallel", []string{"-workload", "pingpong", "-nodes", "2", "-parallel", "-contention", "10e9:-1us"}, "output-queue latency -1µs must not be negative"},
+		{"dyn NaN inc", []string{"-dyn", "1us:1ms:NaN:0.5"}, "Inc must exceed 1 and be finite, got NaN"},
+		{"dyn infinite inc", []string{"-dyn", "1us:1ms:Inf:0.5"}, "Inc must exceed 1 and be finite, got +Inf"},
+		{"faults NaN loss", []string{"-faults", "loss=NaN"}, "loss NaN outside [0, 1)"},
+		{"faults NaN slowdown", []string{"-faults", "slow=0:NaN"}, "slowdown NaN must be positive and finite"},
+		{"negative scale", []string{"-workload", "pingpong", "-scale", "-1"}, "workload scale -1 must be positive and finite"},
+		{"NaN scale", []string{"-workload", "pingpong", "-scale", "NaN"}, "workload scale NaN must be positive and finite"},
+		{"quantum overflows", []string{"-quantum", "9999999999999s"}, "overflows int64 nanoseconds"},
+		{"quantum NaN", []string{"-quantum", "NaNus"}, "is not finite"},
 		{"zero nodes", []string{"-nodes", "0", "-workload", "pingpong"}, "need at least 1 node"},
 		{"trace rank mismatch", []string{"-tracefile", trace, "-nodes", "4"}, "has 2 ranks but the cluster has 4 nodes"},
 		{"trace file missing", []string{"-tracefile", filepath.Join(t.TempDir(), "nope.json")}, "no such file"},

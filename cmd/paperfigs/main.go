@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -96,8 +97,8 @@ func run() error {
 	default:
 		return fmt.Errorf("unknown -fig %q (want 6, 7, 8, 9, 9a, 9b, 9c, ablation, host, oracle, optimistic, sampling, extras, scaling, faults, or all)", *figFlag)
 	}
-	if *scaleFlag <= 0 {
-		return fmt.Errorf("-scale must be positive, got %v", *scaleFlag)
+	if !(*scaleFlag > 0) || math.IsInf(*scaleFlag, 1) {
+		return fmt.Errorf("-scale must be positive and finite, got %v", *scaleFlag)
 	}
 	if *nodesFlag < 1 {
 		return fmt.Errorf("-nodes must be >= 1, got %d", *nodesFlag)

@@ -47,6 +47,8 @@ func TestCLIFlagErrors(t *testing.T) {
 		{"unknown fig word", []string{"-fig", "everything"}, "want 6, 7, 8, 9"},
 		{"zero scale", []string{"-fig", "6", "-scale", "0"}, "-scale must be positive"},
 		{"negative scale", []string{"-fig", "7", "-scale", "-0.5"}, "-scale must be positive"},
+		{"NaN scale", []string{"-fig", "6", "-scale", "NaN"}, "-scale must be positive and finite"},
+		{"infinite scale", []string{"-fig", "6", "-scale", "Inf"}, "-scale must be positive and finite"},
 		{"zero nodes", []string{"-fig", "9a", "-nodes", "0"}, "-nodes must be >= 1"},
 	}
 	for _, c := range cases {

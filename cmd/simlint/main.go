@@ -1,6 +1,6 @@
 // Simlint is the simulator's determinism linter: a multichecker over the
 // custom analyzers in internal/analysis (nodetsource, maporder, guestwall,
-// lockcopy/atomicmix, snapshotsafe, hotalloc, errdiscard).
+// lockcopy/atomicmix, hotalloc, errdiscard).
 //
 // Standalone use, from the module root:
 //

@@ -71,7 +71,7 @@ func TestVersionAndFlagsProbe(t *testing.T) {
 	}
 	for _, want := range []string{
 		"nodetsource", "maporder", "guestwall", "lockcopy",
-		"snapshotsafe", "hotalloc", "errdiscard",
+		"hotalloc", "errdiscard",
 		"json", "json-out", "V",
 	} {
 		if !names[want] {
@@ -155,7 +155,7 @@ func TestVettoolCleanPackage(t *testing.T) {
 		t.Skip("invokes go vet")
 	}
 	bin := buildSimlint(t)
-	// cluster/guest/msg carry the snapshotroot/hotpath markers, so this also
+	// cluster/guest/msg carry the hotpath markers, so this also
 	// proves fact flow (hotalloc summaries riding vetx files) under vet's
 	// dependency-first visit order.
 	cmd := exec.Command("go", "vet", "-vettool="+bin,

@@ -11,8 +11,9 @@
 //
 // The rendering answers the paper's operational questions directly: where
 // each host-second went (compute, idle, barrier wait, routing, barrier
-// fixed cost), how often the intra-quantum fast path was eligible and what
-// disabled it otherwise, and which minimum-latency links gate the global
+// fixed cost), how often the fast path (every node walked loose to the
+// barrier, bypassing the event queue) was eligible and what disabled it
+// otherwise, and which minimum-latency links gate the global
 // lookahead bound Q ≤ T.
 package main
 

@@ -11,7 +11,6 @@ import (
 	"clustersim/internal/analysis/lockcopy"
 	"clustersim/internal/analysis/maporder"
 	"clustersim/internal/analysis/nodetsource"
-	"clustersim/internal/analysis/snapshotsafe"
 )
 
 // Analyzers returns the suite in stable order.
@@ -21,7 +20,6 @@ func Analyzers() []*framework.Analyzer {
 		maporder.Analyzer,
 		guestwall.Analyzer,
 		lockcopy.Analyzer,
-		snapshotsafe.Analyzer,
 		hotalloc.Analyzer,
 		errdiscard.Analyzer,
 	}

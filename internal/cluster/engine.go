@@ -57,14 +57,9 @@ const (
 
 // nodeArena holds every per-node engine field as parallel slices indexed by
 // node — structure-of-arrays instead of the previous []*nodeState pointer
-// farm. The layout is flat and trivially copyable (a snapshot is one copy()
-// per lane, no pointer graph to chase beyond the guest nodes themselves),
-// which is the substrate the roadmap's optimistic checkpoint/rollback engine
-// needs; see DESIGN.md §12.
-//
-//simlint:snapshotroot one copy() per lane is the whole checkpoint contract
+// farm; see DESIGN.md §12.
 type nodeArena struct {
-	node  []*guest.Node //simlint:snapshotsafe guest nodes are their own snapshot root; the arena lane only re-binds pointers on restore
+	node  []*guest.Node
 	phase []nodePhase
 
 	// Execution cursor: the host time corresponding to the node's position

@@ -189,6 +189,9 @@ func RunParallel(cfg ParallelConfig) (*ParallelResult, error) {
 	if cfg.Net == nil || cfg.Policy == nil || cfg.Program == nil {
 		return nil, fmt.Errorf("cluster: parallel config missing net/policy/program")
 	}
+	if err := cfg.Net.Validate(cfg.Nodes); err != nil {
+		return nil, err
+	}
 	if err := cfg.Faults.Validate(); err != nil {
 		return nil, err
 	}

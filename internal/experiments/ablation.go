@@ -38,7 +38,7 @@ func AblationIncDec(env Env, w workloads.Workload, nodes int, incs, decs []float
 				formatIncDec(inc, dec),
 				1*simtime.Microsecond, 1000*simtime.Microsecond, inc, dec,
 			)
-			jobs = append(jobs, job{name: spec.Label, run: func() error {
+			jobs = append(jobs, func() error {
 				res, err := runOne(env, w, nodes, spec, false, false)
 				if err != nil {
 					return err
@@ -51,7 +51,7 @@ func AblationIncDec(env Env, w workloads.Workload, nodes int, incs, decs []float
 					MeanQ:   res.Stats.MeanQ,
 				}
 				return nil
-			}})
+			})
 		}
 	}
 	if err := runAll(env.Workers, jobs); err != nil {
@@ -108,7 +108,7 @@ func AblationOracle(env Env, w workloads.Workload, nodes int, min, max simtime.D
 	var jobs []job
 	for i, spec := range specs {
 		i, spec := i, spec
-		jobs = append(jobs, job{name: spec.Label, run: func() error {
+		jobs = append(jobs, func() error {
 			res, err := runOne(env, w, nodes, spec, false, false)
 			if err != nil {
 				return err
@@ -121,7 +121,7 @@ func AblationOracle(env Env, w workloads.Workload, nodes int, min, max simtime.D
 				MeanQ:   res.Stats.MeanQ,
 			}
 			return nil
-		}})
+		})
 	}
 	if err := runAll(env.Workers, jobs); err != nil {
 		return nil, err
@@ -136,7 +136,7 @@ func AblationHost(env Env, w workloads.Workload, nodes int, barriers []simtime.D
 	for bi, bc := range barriers {
 		for ji, jit := range jitters {
 			ri, bc, jit := bi*len(jitters)+ji, bc, jit
-			jobs = append(jobs, job{name: bc.String(), run: func() error {
+			jobs = append(jobs, func() error {
 				e := env
 				e.Host.BarrierCost = bc
 				e.Host.JitterSigma = jit
@@ -155,7 +155,7 @@ func AblationHost(env Env, w workloads.Workload, nodes int, barriers []simtime.D
 					Speedup1k:   metrics.Speedup(float64(big.HostTime), float64(base.HostTime)),
 				}
 				return nil
-			}})
+			})
 		}
 	}
 	if err := runAll(env.Workers, jobs); err != nil {

@@ -206,7 +206,7 @@ func Grid(env Env, ws []workloads.Workload, nodeCounts []int, specs []Spec) ([]C
 	for wi, w := range ws {
 		for ni, n := range nodeCounts {
 			wi, ni, w, n := wi, ni, w, n
-			jobs = append(jobs, job{name: fmt.Sprintf("%s/%d", w.Name, n), run: func() error {
+			jobs = append(jobs, func() error {
 				res, err := runGroundTruth(env, w, n, false, false)
 				if err != nil {
 					return err
@@ -217,7 +217,7 @@ func Grid(env Env, ws []workloads.Workload, nodeCounts []int, specs []Spec) ([]C
 				}
 				bases[baseIdx(wi, ni)] = base{metric: m, host: res.HostTime}
 				return nil
-			}})
+			})
 		}
 	}
 	if err := runAll(env.Workers, jobs); err != nil {
@@ -232,7 +232,7 @@ func Grid(env Env, ws []workloads.Workload, nodeCounts []int, specs []Spec) ([]C
 			for _, spec := range specs {
 				slot, w, n, spec := ci, w, n, spec
 				b := bases[baseIdx(wi, ni)]
-				jobs = append(jobs, job{name: fmt.Sprintf("%s/%d %s", w.Name, n, spec.Label), run: func() error {
+				jobs = append(jobs, func() error {
 					res, err := runOne(env, w, n, spec, false, false)
 					if err != nil {
 						return err
@@ -251,7 +251,7 @@ func Grid(env Env, ws []workloads.Workload, nodeCounts []int, specs []Spec) ([]C
 						Stats:      res.Stats,
 					}
 					return nil
-				}})
+				})
 				ci++
 			}
 		}

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"clustersim/internal/cluster"
 	"clustersim/internal/faults"
 	"clustersim/internal/simtime"
@@ -61,7 +59,7 @@ func FaultSweep(env Env, w workloads.Workload, nodes int, specs []Spec, lossPcts
 		}
 		for si, spec := range specs {
 			slot, spec, fenv, pct := li*len(specs)+si, spec, fenv, pct
-			jobs = append(jobs, job{name: fmt.Sprintf("%s/%d loss=%g%% %s", w.Name, nodes, pct, spec.Label), run: func() error {
+			jobs = append(jobs, func() error {
 				res, err := runOne(fenv, w, nodes, spec, false, false)
 				if err != nil {
 					return err
@@ -82,7 +80,7 @@ func FaultSweep(env Env, w workloads.Workload, nodes int, specs []Spec, lossPcts
 				}
 				rows[slot] = row
 				return nil
-			}})
+			})
 		}
 	}
 	if err := runAll(env.Workers, jobs); err != nil {

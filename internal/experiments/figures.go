@@ -206,7 +206,7 @@ func Fig9Case(env Env, w workloads.Workload, nodes int, dyn Spec, fixed []Spec, 
 	var jobs []job
 	for i, spec := range specs {
 		i, spec := i, spec
-		jobs = append(jobs, job{name: spec.Label, run: func() error {
+		jobs = append(jobs, func() error {
 			res, err := runOne(env, w, nodes, spec, true, false)
 			if err != nil {
 				return err
@@ -226,7 +226,7 @@ func Fig9Case(env Env, w workloads.Workload, nodes int, dyn Spec, fixed []Spec, 
 				meanQ: res.Stats.MeanQ,
 			}
 			return nil
-		}})
+		})
 	}
 	if err := runAll(env.Workers, jobs); err != nil {
 		return nil, err

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -18,7 +19,6 @@ import (
 	"clustersim/internal/prof"
 	"clustersim/internal/quantum"
 	"clustersim/internal/simtime"
-	"clustersim/internal/workerpool"
 	"clustersim/internal/workloads"
 )
 
@@ -166,6 +166,9 @@ func (sc *Scenario) config() (*scenarioConfig, error) {
 		if err != nil {
 			return nil, fmt.Errorf("max_guest: %v", err)
 		}
+		if d <= 0 {
+			return nil, fmt.Errorf("max_guest must be positive, got %v", d)
+		}
 		env.MaxGuest = simtime.Guest(d)
 	}
 	seed := sc.FaultSeed
@@ -190,6 +193,9 @@ func (sc *Scenario) config() (*scenarioConfig, error) {
 // scaled by scale — the single name registry shared by clustersim's
 // -workload flag and fleet manifests.
 func ResolveWorkload(name string, scale float64) (workloads.Workload, error) {
+	if !(scale > 0) || math.IsInf(scale, 1) {
+		return workloads.Workload{}, fmt.Errorf("workload scale %v must be positive and finite", scale)
+	}
 	for _, w := range NASSuite(scale) {
 		if w.Name == name {
 			return w, nil
@@ -424,16 +430,14 @@ func runScenario(sc Scenario) ScenarioOutcome {
 }
 
 // RunFleet executes every scenario of the manifest, fanning the scenarios
-// out over a worker pool of the given size (<= 0 means GOMAXPROCS). Each
-// scenario's two strategy runs execute sequentially inside its slot.
-// Outcomes come back in manifest order regardless of pool scheduling.
-// progress, when non-nil, is called once per finished scenario from pool
-// goroutines (it must be safe for concurrent use).
+// out over at most poolWorkers goroutines (<= 0 means GOMAXPROCS; see
+// forEach). Each scenario's two strategy runs execute sequentially inside
+// its slot. Outcomes come back in manifest order regardless of scheduling.
+// progress, when non-nil, is called once per finished scenario from the
+// fan-out goroutines (it must be safe for concurrent use).
 func RunFleet(m *Manifest, poolWorkers int, progress func(ScenarioOutcome)) []ScenarioOutcome {
 	outcomes := make([]ScenarioOutcome, len(m.Scenarios))
-	pool := workerpool.New(poolWorkers)
-	defer pool.Close()
-	pool.Run(len(m.Scenarios), func(i int) {
+	forEach(poolWorkers, len(m.Scenarios), func(i int) {
 		outcomes[i] = runScenario(m.Scenarios[i])
 		if progress != nil {
 			progress(outcomes[i])

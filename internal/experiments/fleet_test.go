@@ -45,6 +45,9 @@ func TestParseManifestValidation(t *testing.T) {
 		{"negative quantum", `{"schema": "clustersim-fleet-manifest/1", "scenarios": [{"name": "a", "workload": "pingpong", "nodes": 2, "quantum": "-1us"}]}`, "positive"},
 		{"bad dyn", `{"schema": "clustersim-fleet-manifest/1", "scenarios": [{"name": "a", "workload": "pingpong", "nodes": 2, "dyn": "1us:1ms"}]}`, "dyn"},
 		{"dyn zero factors", `{"schema": "clustersim-fleet-manifest/1", "scenarios": [{"name": "a", "workload": "pingpong", "nodes": 2, "dyn": "1us:1ms:0:0"}]}`, "Inc"},
+		{"dyn NaN inc", `{"schema": "clustersim-fleet-manifest/1", "scenarios": [{"name": "a", "workload": "pingpong", "nodes": 2, "dyn": "1us:1ms:NaN:0.5"}]}`, "Inc"},
+		{"dyn infinite inc", `{"schema": "clustersim-fleet-manifest/1", "scenarios": [{"name": "a", "workload": "pingpong", "nodes": 2, "dyn": "1us:1ms:Inf:0.5"}]}`, "Inc"},
+		{"NaN quantum", `{"schema": "clustersim-fleet-manifest/1", "scenarios": [{"name": "a", "workload": "pingpong", "nodes": 2, "quantum": "NaNus"}]}`, "not finite"},
 		{"dyn inverted bounds", `{"schema": "clustersim-fleet-manifest/1", "scenarios": [{"name": "a", "workload": "pingpong", "nodes": 2, "dyn": "1ms:1us:1.03:0.02"}]}`, "Max"},
 		{"bad topo", `{"schema": "clustersim-fleet-manifest/1", "scenarios": [{"name": "a", "workload": "pingpong", "nodes": 2, "topo": "ring:4"}]}`, "topo"},
 		{"negative rack edge latency", `{"schema": "clustersim-fleet-manifest/1", "scenarios": [{"name": "a", "workload": "pingpong", "nodes": 2, "topo": "rack:4:-1us:2us"}]}`, "edge latency"},
@@ -54,6 +57,10 @@ func TestParseManifestValidation(t *testing.T) {
 		{"bad faults", `{"schema": "clustersim-fleet-manifest/1", "scenarios": [{"name": "a", "workload": "pingpong", "nodes": 2, "faults": "chaos=1"}]}`, "chaos"},
 		{"faults slowdown node past the cluster", `{"schema": "clustersim-fleet-manifest/1", "scenarios": [{"name": "a", "workload": "pingpong", "nodes": 2, "faults": "slow=2:2"}]}`, "slowdown node 2 outside the 2-node cluster"},
 		{"faults negative slowdown node", `{"schema": "clustersim-fleet-manifest/1", "scenarios": [{"name": "a", "workload": "pingpong", "nodes": 2, "faults": "slow=-1:2"}]}`, "slowdown node -1 outside"},
+		{"faults NaN loss", `{"schema": "clustersim-fleet-manifest/1", "scenarios": [{"name": "a", "workload": "pingpong", "nodes": 2, "faults": "loss=NaN"}]}`, "loss NaN"},
+		{"faults NaN slowdown", `{"schema": "clustersim-fleet-manifest/1", "scenarios": [{"name": "a", "workload": "pingpong", "nodes": 2, "faults": "slow=0:NaN"}]}`, "slowdown NaN"},
+		{"negative scale", `{"schema": "clustersim-fleet-manifest/1", "scenarios": [{"name": "a", "workload": "phases", "nodes": 2, "scale": -1}]}`, "scale -1"},
+		{"negative max guest", `{"schema": "clustersim-fleet-manifest/1", "scenarios": [{"name": "a", "workload": "pingpong", "nodes": 2, "max_guest": "-5ms"}]}`, "max_guest must be positive"},
 		{"retired workers field", `{"schema": "clustersim-fleet-manifest/1", "scenarios": [{"name": "a", "workload": "pingpong", "nodes": 2, "workers": [0]}]}`, "workers"},
 		{"unknown field", `{"schema": "clustersim-fleet-manifest/1", "scenarios": [{"name": "a", "workload": "pingpong", "nodes": 2, "qantum": "1us"}]}`, "qantum"},
 	}

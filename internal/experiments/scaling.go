@@ -30,7 +30,7 @@ func ScalingCurve(env Env, w workloads.Workload, nodeCounts []int, spec Spec) ([
 	var jobs []job
 	for i, n := range nodeCounts {
 		i, n := i, n
-		jobs = append(jobs, job{name: w.Name, run: func() error {
+		jobs = append(jobs, func() error {
 			base, err := runGroundTruth(env, w, n, false, false)
 			if err != nil {
 				return err
@@ -50,7 +50,7 @@ func ScalingCurve(env Env, w workloads.Workload, nodeCounts []int, spec Spec) ([
 					(float64(res.GuestTime) / float64(simtime.Millisecond)),
 			}
 			return nil
-		}})
+		})
 	}
 	if err := runAll(env.Workers, jobs); err != nil {
 		return nil, err

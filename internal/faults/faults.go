@@ -12,6 +12,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -161,10 +162,11 @@ func (p *Plan) HasSlowdown() bool {
 
 // validateLink checks one link's parameters.
 func validateLink(name string, l Link) error {
-	if l.Loss < 0 || l.Loss >= 1 {
+	// Negated range checks so NaN, which fails every comparison, is rejected.
+	if !(l.Loss >= 0 && l.Loss < 1) {
 		return fmt.Errorf("faults: %s loss %v outside [0, 1)", name, l.Loss)
 	}
-	if l.Dup < 0 || l.Dup > 1 {
+	if !(l.Dup >= 0 && l.Dup <= 1) {
 		return fmt.Errorf("faults: %s dup %v outside [0, 1]", name, l.Dup)
 	}
 	if l.Jitter < 0 {
@@ -195,8 +197,8 @@ func (p *Plan) Validate() error {
 		}
 	}
 	for _, n := range sortedSlowdownNodes(p.NodeSlowdown) {
-		if f := p.NodeSlowdown[n]; f <= 0 {
-			return fmt.Errorf("faults: node %d slowdown %v must be positive", n, f)
+		if f := p.NodeSlowdown[n]; !(f > 0) || math.IsInf(f, 1) {
+			return fmt.Errorf("faults: node %d slowdown %v must be positive and finite", n, f)
 		}
 	}
 	return nil

@@ -142,6 +142,7 @@ func TestParseErrors(t *testing.T) {
 	for _, spec := range []string{
 		"loss", "loss=x", "loss=1.5", "dup=-1", "jitter=bogus",
 		"down=10ms", "down=x-y", "slow=3", "slow=a:2", "slow=3:0", "mystery=1",
+		"loss=NaN", "dup=NaN", "slow=0:NaN", "slow=0:Inf",
 	} {
 		if _, err := Parse(spec, 0); err == nil {
 			t.Errorf("Parse(%q) succeeded, want error", spec)

@@ -11,6 +11,7 @@ package netmodel
 
 import (
 	"fmt"
+	"math"
 
 	"clustersim/internal/pkt"
 	"clustersim/internal/simtime"
@@ -273,6 +274,15 @@ func (m *Model) Validate(nodes int) error {
 	}
 	if m.Switch == nil {
 		return fmt.Errorf("netmodel: nil switch model")
+	}
+	if o := m.Output; o != nil {
+		// Negated so NaN, which fails every comparison, is rejected.
+		if !(o.BytesPerSecond >= 0) || math.IsInf(o.BytesPerSecond, 1) {
+			return fmt.Errorf("netmodel: output-queue rate %v bytes/s must be finite and non-negative (0 means infinite)", o.BytesPerSecond)
+		}
+		if o.Latency < 0 {
+			return fmt.Errorf("netmodel: output-queue latency %v must not be negative", o.Latency)
+		}
 	}
 	if ms, ok := m.Switch.(*MatrixSwitch); ok {
 		if len(ms.Lat) < nodes {

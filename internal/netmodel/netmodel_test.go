@@ -1,6 +1,7 @@
 package netmodel
 
 import (
+	"math"
 	"testing"
 
 	"clustersim/internal/pkt"
@@ -95,6 +96,23 @@ func TestValidate(t *testing.T) {
 	}
 	if err := Paper().Validate(64); err != nil {
 		t.Errorf("paper model rejected: %v", err)
+	}
+	for _, o := range []OutputQueue{{}, {BytesPerSecond: 10e9, Latency: 500}} {
+		m := Paper()
+		m.Output = &o
+		if err := m.Validate(2); err != nil {
+			t.Errorf("output queue %+v rejected: %v", o, err)
+		}
+	}
+	for _, o := range []OutputQueue{
+		{BytesPerSecond: -1}, {BytesPerSecond: math.NaN()}, {BytesPerSecond: math.Inf(1)},
+		{BytesPerSecond: 10e9, Latency: -1},
+	} {
+		m := Paper()
+		m.Output = &o
+		if err := m.Validate(2); err == nil {
+			t.Errorf("output queue %+v accepted", o)
+		}
 	}
 }
 

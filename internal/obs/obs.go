@@ -63,8 +63,9 @@ type RunSummary struct {
 	HostEnd simtime.Host
 	// Quanta is the number of synchronization quanta the run executed.
 	Quanta int
-	// FastEligibleQuanta counts quanta eligible for the intra-quantum fast
-	// path (Q at most the minimum network latency, no packet tap).
+	// FastEligibleQuanta counts quanta eligible for the fast path, in which
+	// every node is walked loose to the barrier without the event queue (Q
+	// at most the minimum network latency, no output-queue tap).
 	// Eligibility is a property of the configuration and policy trajectory,
 	// not of the execution strategy, so it is identical across strategies.
 	FastEligibleQuanta int
@@ -83,10 +84,11 @@ type QuantumRecord struct {
 	// (the span BarrierStart..HostEnd is pure synchronization overhead).
 	BarrierStart simtime.Host
 	HostEnd      simtime.Host // barrier release that ended the quantum
-	// FastEligible reports whether this quantum was eligible for the
-	// intra-quantum fast path (Q <= minimum network latency, no packet
-	// tap). Deliberately independent of how the quantum was executed, so
-	// records stay bit-identical across execution strategies.
+	// FastEligible reports whether this quantum was eligible for the fast
+	// path, in which every node is walked loose to the barrier without the
+	// event queue (Q <= minimum network latency, no output-queue tap).
+	// Deliberately independent of how the quantum was executed, so records
+	// stay bit-identical across execution strategies.
 	FastEligible bool
 }
 

@@ -31,7 +31,7 @@ type Progress struct {
 	lastQuanta int64
 
 	quanta     int64
-	fastQuanta int64 // quanta eligible for the intra-quantum fast path
+	fastQuanta int64 // quanta in which every node could be walked loose
 	packets    int64
 	stragglers int64
 	guest      simtime.Guest

@@ -32,8 +32,8 @@ import (
 	"clustersim/internal/simtime"
 )
 
-// Cause classifies why a quantum was (in)eligible for the intra-quantum fast
-// path.
+// Cause classifies why a quantum's nodes could all, some or none be walked
+// loose to the barrier without the event queue (the fast path).
 type Cause int
 
 const (

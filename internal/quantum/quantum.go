@@ -83,8 +83,9 @@ type Adaptive struct {
 
 // NewAdaptive returns an Adaptive policy with the given bounds and factors.
 // It panics on configurations that Algorithm 1 cannot execute (Inc <= 1
-// would never grow; Dec >= 1 would never shrink; Min must be positive and
-// not exceed Max): these are programming errors, not runtime conditions.
+// would never grow, a non-finite Inc has no next quantum; Dec >= 1 would
+// never shrink; Min must be positive and not exceed Max): these are
+// programming errors, not runtime conditions.
 func NewAdaptive(min, max simtime.Duration, inc, dec float64) *Adaptive {
 	a := &Adaptive{Min: min, Max: max, Inc: inc, Dec: dec}
 	if err := a.Validate(); err != nil {
@@ -103,9 +104,10 @@ func (a *Adaptive) Validate() error {
 		return fmt.Errorf("quantum: adaptive Min must be positive, got %v", a.Min)
 	case a.Max < a.Min:
 		return fmt.Errorf("quantum: adaptive Max %v < Min %v", a.Max, a.Min)
-	case a.Inc <= 1:
-		return fmt.Errorf("quantum: adaptive Inc must exceed 1, got %v", a.Inc)
-	case a.Dec <= 0 || a.Dec >= 1:
+	// Negated comparisons so NaN, which fails every comparison, is rejected.
+	case !(a.Inc > 1) || math.IsInf(a.Inc, 1):
+		return fmt.Errorf("quantum: adaptive Inc must exceed 1 and be finite, got %v", a.Inc)
+	case !(a.Dec > 0 && a.Dec < 1):
 		return fmt.Errorf("quantum: adaptive Dec must be in (0,1), got %v", a.Dec)
 	}
 	return nil

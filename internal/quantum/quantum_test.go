@@ -121,6 +121,9 @@ func TestAdaptiveInvalidConfigsPanic(t *testing.T) {
 		func() { NewAdaptive(simtime.Microsecond, simtime.Millisecond, 1.0, 0.02) },
 		func() { NewAdaptive(simtime.Microsecond, simtime.Millisecond, 1.03, 0) },
 		func() { NewAdaptive(simtime.Microsecond, simtime.Millisecond, 1.03, 1) },
+		func() { NewAdaptive(simtime.Microsecond, simtime.Millisecond, math.NaN(), 0.5) },
+		func() { NewAdaptive(simtime.Microsecond, simtime.Millisecond, math.Inf(1), 0.5) },
+		func() { NewAdaptive(simtime.Microsecond, simtime.Millisecond, 1.03, math.NaN()) },
 	}
 	for i, c := range cases {
 		func() {

@@ -15,6 +15,7 @@ package simtime
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -123,8 +124,10 @@ func (t Guest) String() string { return Duration(t).String() }
 func (t Host) String() string { return Duration(t).String() }
 
 // ParseDuration parses strings like "1us", "1µs", "10ms", "2s", "500ns",
-// "1.5ms". It exists so command-line tools do not need time.ParseDuration's
-// full generality (and so "us" is accepted as a spelling of µs).
+// "1.5ms", rounding to the nearest nanosecond. NaN, infinities and
+// magnitudes beyond the int64-nanosecond range are errors. It exists so
+// command-line tools do not need time.ParseDuration's full generality (and
+// so "us" is accepted as a spelling of µs).
 func ParseDuration(s string) (Duration, error) {
 	orig := s
 	var unit Duration
@@ -147,6 +150,11 @@ func ParseDuration(s string) (Duration, error) {
 		return 0, fmt.Errorf("simtime: invalid duration %q", orig)
 	}
 	ns := v * float64(unit)
+	// Rejects NaN too. Converting a float64 outside the int64 range to
+	// Duration is implementation-defined and wrapped silently.
+	if !(math.Abs(ns) < math.MaxInt64) {
+		return 0, fmt.Errorf("simtime: duration %q is not finite or overflows int64 nanoseconds", orig)
+	}
 	if ns >= 0 {
 		return Duration(ns + 0.5), nil
 	}
